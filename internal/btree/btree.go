@@ -592,14 +592,23 @@ func (t *BTree) Scan(lo, hi []byte) *Iterator {
 
 // ScanPrefix iterates all entries whose key starts with prefix.
 func (t *BTree) ScanPrefix(prefix []byte) *Iterator {
-	return t.Scan(prefix, keySuccessor(prefix))
+	return t.Scan(prefix, prefixEnd(prefix))
 }
 
-func keySuccessor(k []byte) []byte {
-	out := make([]byte, len(k)+1)
-	copy(out, k)
-	out[len(k)] = 0xFF
-	return out
+// prefixEnd returns the smallest key greater than every key starting with
+// prefix: the prefix with its last non-0xFF byte incremented and the rest
+// cut off, or nil (unbounded) when prefix is all 0xFF. Appending a 0xFF
+// byte instead would cut off keys whose next byte is 0xFF itself — a heap
+// RID suffix on page 255, say.
+func prefixEnd(prefix []byte) []byte {
+	for i := len(prefix) - 1; i >= 0; i-- {
+		if prefix[i] != 0xFF {
+			end := append([]byte(nil), prefix[:i+1]...)
+			end[i]++
+			return end
+		}
+	}
+	return nil
 }
 
 func (it *Iterator) loadLeaf(pg *storage.Page, start int) {

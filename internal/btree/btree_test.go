@@ -163,6 +163,44 @@ func TestScanPrefix(t *testing.T) {
 	}
 }
 
+// TestScanPrefixHighByteSuffix: keys whose byte after the prefix is 0xFF
+// (a non-unique index entry whose heap RID sits on page 255, say) and
+// all-0xFF prefixes still belong to the prefix range.
+func TestScanPrefixHighByteSuffix(t *testing.T) {
+	tr := newTree(t, 64)
+	keys := [][]byte{
+		{0x01, 0x00}, {0x01, 0x7F}, {0x01, 0xFF}, {0x01, 0xFF, 0x03}, {0x01, 0xFF, 0xFF},
+		{0x02}, {0x00, 0xFF}, {0xFF, 0x01}, {0xFF, 0xFF},
+	}
+	for _, key := range keys {
+		if err := tr.Insert(key, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		prefix []byte
+		want   int
+	}{
+		{[]byte{0x01}, 5},
+		{[]byte{0x01, 0xFF}, 3},
+		{[]byte{0xFF}, 2},
+		{[]byte{0xFF, 0xFF}, 1},
+		{[]byte{0x00}, 1},
+	} {
+		it := tr.ScanPrefix(c.prefix)
+		n := 0
+		for it.Next() {
+			if !bytes.HasPrefix(it.Key(), c.prefix) {
+				t.Fatalf("prefix %x: scan yielded %x", c.prefix, it.Key())
+			}
+			n++
+		}
+		if n != c.want {
+			t.Errorf("prefix %x: found %d keys, want %d", c.prefix, n, c.want)
+		}
+	}
+}
+
 func TestDelete(t *testing.T) {
 	tr := newTree(t, 64)
 	for i := 0; i < 500; i++ {

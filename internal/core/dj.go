@@ -22,8 +22,7 @@ import (
 // legitimately affect nothing while unfinalized nodes (and the target)
 // remain — e.g. when every neighbor of the frontier already holds a
 // smaller distance. We instead terminate when no frontier candidate is
-// left or the target is finalized, which is the sound reading; see
-// EXPERIMENTS.md.
+// left or the target is finalized, which is the sound reading.
 func (e *Engine) dj(ctx context.Context, sc *scratchSet, s, t int64, budget int64) (Path, *QueryStats, error) {
 	qs := &QueryStats{Algorithm: "DJ", budget: budget}
 	start := time.Now()

@@ -66,7 +66,7 @@ func (e *Engine) LoadGraph(g *graph.Graph) error {
 	if err := e.createGraphTables(); err != nil {
 		return err
 	}
-	if err := e.createVisitedTables(); err != nil {
+	if err := e.createScratchTables(e.scratchGlobal); err != nil {
 		return err
 	}
 
@@ -185,43 +185,6 @@ func (e *Engine) createGraphTables() error {
 	}
 	for _, s := range stmts {
 		if _, err := e.sess.Exec(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// createVisitedTables creates TVisited and the expansion scratch tables
-// under the engine's index strategy. TVisited carries both directions'
-// state (§4.1): d2s/p2s/f forward, d2t/p2t/b backward.
-func (e *Engine) createVisitedTables() error {
-	db := e.sess
-	var stmts []string
-	switch e.opts.Strategy {
-	case ClusteredIndex:
-		stmts = append(stmts,
-			"CREATE TABLE "+TblVisited+" (nid INT PRIMARY KEY, d2s INT, p2s INT, f INT, d2t INT, p2t INT, b INT)",
-			"CREATE TABLE "+TblExpand+" (nid INT PRIMARY KEY, par INT, cost INT)",
-			"CREATE TABLE "+TblExpCost+" (nid INT PRIMARY KEY, cost INT)",
-		)
-	case SecondaryIndex:
-		stmts = append(stmts,
-			"CREATE TABLE "+TblVisited+" (nid INT, d2s INT, p2s INT, f INT, d2t INT, p2t INT, b INT)",
-			"CREATE UNIQUE INDEX tvisited_nid ON "+TblVisited+" (nid)",
-			"CREATE TABLE "+TblExpand+" (nid INT, par INT, cost INT)",
-			"CREATE UNIQUE INDEX texpand_nid ON "+TblExpand+" (nid)",
-			"CREATE TABLE "+TblExpCost+" (nid INT, cost INT)",
-			"CREATE UNIQUE INDEX texpcost_nid ON "+TblExpCost+" (nid)",
-		)
-	case NoIndex:
-		stmts = append(stmts,
-			"CREATE TABLE "+TblVisited+" (nid INT, d2s INT, p2s INT, f INT, d2t INT, p2t INT, b INT)",
-			"CREATE TABLE "+TblExpand+" (nid INT, par INT, cost INT)",
-			"CREATE TABLE "+TblExpCost+" (nid INT, cost INT)",
-		)
-	}
-	for _, s := range stmts {
-		if _, err := db.Exec(s); err != nil {
 			return err
 		}
 	}

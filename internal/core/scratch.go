@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -191,38 +192,41 @@ func (p *scratchPool) stats() ScratchStats {
 	return ScratchStats{Minted: p.minted, Dropped: p.dropped, Live: p.live, Free: len(p.free)}
 }
 
-// createScratchTables mints the set's tables under the engine's index
-// strategy — the same physical design createVisitedTables gives the global
-// set, with per-set index names. Creation failures drop whatever partial
-// prefix was created so a failed mint never leaks catalog entries.
+// createScratchTables creates sc's working tables under the engine's index
+// strategy: the one physical design shared by the global set (created by
+// LoadGraph) and every per-query set. TVisited carries both directions'
+// state (§4.1): d2s/p2s/f forward, d2t/p2t/b backward. Each table is keyed
+// on nid — clustered, or a heap with a unique secondary index. Under both
+// indexed strategies TVisited also gets non-unique (f, d2s) and (b, d2t)
+// indexes, so the frontier loop's sign probes (`f = 2`, `f = 0 AND d2s =
+// (SELECT MIN ...)`) and its per-direction minima are index seeks instead
+// of scans; NoIndex stays index-free for the Fig 8(c) comparison. Creation
+// failures drop whatever partial prefix was created so a failed mint never
+// leaks catalog entries.
 func (e *Engine) createScratchTables(sc *scratchSet) error {
 	// A recycled id may find leftovers from a drop that failed midway;
 	// clear them so the creates below start clean.
 	e.dropScratchTables(sc)
+	key := "nid INT"
+	if e.opts.Strategy == ClusteredIndex {
+		key = "nid INT PRIMARY KEY"
+	}
 	var stmts []string
-	switch e.opts.Strategy {
-	case ClusteredIndex:
+	for _, t := range []struct{ name, cols string }{
+		{sc.visited, "d2s INT, p2s INT, f INT, d2t INT, p2t INT, b INT"},
+		{sc.expand, "par INT, cost INT"},
+		{sc.expCost, "cost INT"},
+	} {
+		stmts = append(stmts, "CREATE TABLE "+t.name+" ("+key+", "+t.cols+")")
+		if e.opts.Strategy == SecondaryIndex {
+			stmts = append(stmts, "CREATE UNIQUE INDEX "+strings.ToLower(t.name)+"_nid ON "+t.name+" (nid)")
+		}
+	}
+	if e.opts.Strategy != NoIndex {
+		v := strings.ToLower(sc.visited)
 		stmts = append(stmts,
-			"CREATE TABLE "+sc.visited+" (nid INT PRIMARY KEY, d2s INT, p2s INT, f INT, d2t INT, p2t INT, b INT)",
-			"CREATE TABLE "+sc.expand+" (nid INT PRIMARY KEY, par INT, cost INT)",
-			"CREATE TABLE "+sc.expCost+" (nid INT PRIMARY KEY, cost INT)",
-		)
-	case SecondaryIndex:
-		sfx := fmt.Sprintf("_q%d", sc.id)
-		stmts = append(stmts,
-			"CREATE TABLE "+sc.visited+" (nid INT, d2s INT, p2s INT, f INT, d2t INT, p2t INT, b INT)",
-			"CREATE UNIQUE INDEX tvisited"+sfx+"_nid ON "+sc.visited+" (nid)",
-			"CREATE TABLE "+sc.expand+" (nid INT, par INT, cost INT)",
-			"CREATE UNIQUE INDEX texpand"+sfx+"_nid ON "+sc.expand+" (nid)",
-			"CREATE TABLE "+sc.expCost+" (nid INT, cost INT)",
-			"CREATE UNIQUE INDEX texpcost"+sfx+"_nid ON "+sc.expCost+" (nid)",
-		)
-	case NoIndex:
-		stmts = append(stmts,
-			"CREATE TABLE "+sc.visited+" (nid INT, d2s INT, p2s INT, f INT, d2t INT, p2t INT, b INT)",
-			"CREATE TABLE "+sc.expand+" (nid INT, par INT, cost INT)",
-			"CREATE TABLE "+sc.expCost+" (nid INT, cost INT)",
-		)
+			"CREATE INDEX "+v+"_f ON "+sc.visited+" (f, d2s)",
+			"CREATE INDEX "+v+"_b ON "+sc.visited+" (b, d2t)")
 	}
 	for _, s := range stmts {
 		if _, err := e.sess.Exec(s); err != nil {

@@ -218,3 +218,31 @@ func TestPlanCacheBoundedUnderScratchChurn(t *testing.T) {
 		t.Errorf("peak readers %d: churn test never overlapped queries", cs.Gate.PeakReaders)
 	}
 }
+
+// TestScratchPagesRecycle: every query truncates its scratch tables, and the
+// pages a truncate frees back the next query's growth, so once warm-up has
+// sized the working set the database stops allocating pages.
+func TestScratchPagesRecycle(t *testing.T) {
+	g := graph.Power(400, 3, 11)
+	e := newTestEngine(t, g, rdb.Options{}, Options{CacheSize: -1})
+	pairs := make([][2]int64, 40)
+	for i := range pairs {
+		pairs[i] = [2]int64{int64(i * 7 % 400), int64((i*131 + 200) % 400)}
+	}
+	run := func() {
+		for _, p := range pairs {
+			if _, _, err := shortestPath(e, AlgBSDJ, p[0], p[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run() // warm-up: the scratch tables reach this pair set's peak
+	disk := e.DB().Pool().Disk()
+	warm := disk.NumPages()
+	for pass := 0; pass < 5; pass++ { // 200 queries
+		run()
+	}
+	if got := disk.NumPages(); got != warm {
+		t.Fatalf("database grew from %d to %d pages over 200 warm queries", warm, got)
+	}
+}

@@ -119,10 +119,15 @@ func (a *aggState) result(kind aggKind) record.Value {
 // row is produced even for empty input (SQL semantics: MIN of nothing is
 // NULL, COUNT of nothing is 0) — the paper's termination checks rely on
 // `SELECT MIN(d2s) ...` returning a NULL row when no candidates remain.
+//
+// FirstMin marks a global aggregate whose single spec is a MIN over a value
+// the input yields in ascending order (an index-ordered scan): Open stops
+// at the first non-NULL value instead of draining the input.
 type Aggregate struct {
 	Input    Node
 	GroupFns []scalarFn
 	Specs    []aggSpec
+	FirstMin bool
 	out      []record.Row
 	pos      int
 }
@@ -177,6 +182,9 @@ func (a *Aggregate) Open(ctx *Ctx) error {
 			}
 			g.states[i].add(spec.kind, v)
 		}
+		if a.FirstMin && g.states[0].has {
+			break
+		}
 	}
 	if len(groups) == 0 && len(a.GroupFns) == 0 {
 		// Global aggregate over empty input: one row of defaults.
@@ -215,7 +223,7 @@ func (a *Aggregate) Close() { a.out = nil }
 
 // Clone implements Node.
 func (a *Aggregate) Clone() Node {
-	return &Aggregate{Input: a.Input.Clone(), GroupFns: a.GroupFns, Specs: a.Specs}
+	return &Aggregate{Input: a.Input.Clone(), GroupFns: a.GroupFns, Specs: a.Specs, FirstMin: a.FirstMin}
 }
 
 // --- window ------------------------------------------------------------------

@@ -80,13 +80,9 @@ func findTargets(ctx *Ctx, t *table.Table, probe *probePlan, residual scalarFn) 
 		return nil
 	}
 	if probe != nil {
-		vals := make([]record.Value, len(probe.keyFns))
-		for i, f := range probe.keyFns {
-			v, err := f(ctx, nil)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
+		vals, ok, err := probeKeys(ctx, probe.keyFns)
+		if err != nil || !ok {
+			return nil, err
 		}
 		if probe.index == nil {
 			it := t.ScanClusteredPrefix(vals)

@@ -93,9 +93,11 @@ func (s *SeqScan) Clone() Node { return &SeqScan{Table: s.Table, Residual: s.Res
 // --- IndexEqScan ----------------------------------------------------------------
 
 // IndexEqScan probes an index (or the clustered tree) with equality values
-// computed at Open time; probe expressions may reference parameters and
-// outer rows, which is how index-nested-loop joins and correlated EXISTS
-// probes are realized.
+// computed at Open time; probe expressions may reference parameters, outer
+// rows and uncorrelated scalar subqueries, which is how index-nested-loop
+// joins, correlated EXISTS probes and the frontier's
+// `d2s = (SELECT MIN(d2s) ...)` selection are realized. Rows arrive in index
+// key order: ascending in the first index column past the probed prefix.
 type IndexEqScan struct {
 	Table    *table.Table
 	Index    *table.Index // nil => clustered index
@@ -106,15 +108,30 @@ type IndexEqScan struct {
 	iit *table.IndexIterator
 }
 
-// Open implements Node.
-func (s *IndexEqScan) Open(ctx *Ctx) error {
-	vals := make([]record.Value, len(s.KeyFns))
-	for i, f := range s.KeyFns {
+// probeKeys evaluates equality probe keys. ok is false when a key is NULL:
+// `col = NULL` is never true, but NULL has an index encoding of its own,
+// so probing with it would match the NULL-keyed rows.
+func probeKeys(ctx *Ctx, fns []scalarFn) (vals []record.Value, ok bool, err error) {
+	vals = make([]record.Value, len(fns))
+	for i, f := range fns {
 		v, err := f(ctx, nil)
 		if err != nil {
-			return err
+			return nil, false, err
+		}
+		if v.Null {
+			return nil, false, nil
 		}
 		vals[i] = v
+	}
+	return vals, true, nil
+}
+
+// Open implements Node.
+func (s *IndexEqScan) Open(ctx *Ctx) error {
+	s.tit, s.iit = nil, nil
+	vals, ok, err := probeKeys(ctx, s.KeyFns)
+	if err != nil || !ok {
+		return err
 	}
 	if s.Index == nil {
 		s.tit = s.Table.ScanClusteredPrefix(vals)
@@ -126,6 +143,9 @@ func (s *IndexEqScan) Open(ctx *Ctx) error {
 
 // Next implements Node.
 func (s *IndexEqScan) Next(ctx *Ctx) (record.Row, error) {
+	if s.tit == nil && s.iit == nil {
+		return nil, nil // a NULL probe key matches nothing
+	}
 	for {
 		var row record.Row
 		if s.tit != nil {

@@ -308,8 +308,8 @@ func (p *Planner) chooseAccessPath(t *table.Table, qual string, lay *Layout, tab
 }
 
 // matchIndexPrefix finds equality conjuncts `col = expr` covering a prefix
-// of idxCols where expr does not reference the table. Returns the probe
-// functions and the indices of the consumed conjuncts.
+// of idxCols where expr can be evaluated before the table yields a row.
+// Returns the probe functions and the indices of the consumed conjuncts.
 func (p *Planner) matchIndexPrefix(t *table.Table, qual string, lay *Layout, tableEnv *Env, idxCols []int, conjuncts []sql.Expr, c *compiler, usedOuter *bool) ([]scalarFn, []int) {
 	var fns []scalarFn
 	var used []int
@@ -325,15 +325,15 @@ func (p *Planner) matchIndexPrefix(t *table.Table, qual string, lay *Layout, tab
 				continue
 			}
 			var probe sql.Expr
-			if isColRefTo(b.L, qual, colName, lay) && !exprRefsQual(b.R, qual, lay) {
+			if isColRefTo(b.L, qual, colName, lay) {
 				probe = b.R
-			} else if isColRefTo(b.R, qual, colName, lay) && !exprRefsQual(b.L, qual, lay) {
+			} else if isColRefTo(b.R, qual, colName, lay) {
 				probe = b.L
 			} else {
 				continue
 			}
-			fn, err := c.compileExpr(probe, tableEnv, usedOuter)
-			if err != nil {
+			fn, ok := c.compileProbe(probe, qual, lay, tableEnv, usedOuter)
+			if !ok {
 				continue
 			}
 			fns = append(fns, fn)
@@ -346,6 +346,25 @@ func (p *Planner) matchIndexPrefix(t *table.Table, qual string, lay *Layout, tab
 		}
 	}
 	return fns, used
+}
+
+// compileProbe compiles an index probe key. Expressions over parameters and
+// outer rows qualify when they do not reference the probed table. A scalar
+// subquery qualifies only when it is uncorrelated: it is then evaluated once
+// per execution and memoized, so computing it at probe time yields the value
+// the row-by-row predicate would have seen. A correlated subquery — one
+// that reads the probed row or any enclosing one — never does.
+func (c *compiler) compileProbe(e sql.Expr, qual string, lay *Layout, env *Env, usedOuter *bool) (scalarFn, bool) {
+	if sub, ok := e.(*sql.Subquery); ok {
+		var correlated bool
+		fn, err := c.compileExpr(sub, env, &correlated)
+		return fn, err == nil && !correlated
+	}
+	if exprRefsQual(e, qual, lay) {
+		return nil, false
+	}
+	fn, err := c.compileExpr(e, env, usedOuter)
+	return fn, err == nil
 }
 
 func isColRefTo(e sql.Expr, qual, name string, lay *Layout) bool {
@@ -704,7 +723,9 @@ func (p *Planner) planAggregate(st *sql.SelectStmt, input Node, inEnv *Env, c *c
 	for i := range aggCalls {
 		postLay.Cols = append(postLay.Cols, BoundCol{Qual: "$agg", Name: fmt.Sprintf("a%d", i)})
 	}
-	node := Node(&Aggregate{Input: input, GroupFns: groupFns, Specs: specs})
+	agg := &Aggregate{Input: input, GroupFns: groupFns, Specs: specs}
+	agg.FirstMin = len(groupFns) == 0 && len(aggCalls) == 1 && indexOrderedMin(input, inEnv, aggCalls[0])
+	node := Node(agg)
 	env := &Env{Lay: postLay, Parent: inEnv.Parent}
 	if having != nil {
 		pred, err := c.compileExpr(having, env, usedOuter)
@@ -714,6 +735,33 @@ func (p *Planner) planAggregate(st *sql.SelectStmt, input Node, inEnv *Env, c *c
 		node = &Filter{Input: node, Pred: pred}
 	}
 	return node, env, items, orderBy, nil
+}
+
+// indexOrderedMin reports whether call is MIN over a column that input
+// yields in ascending order: input is an IndexEqScan whose index continues
+// with that column right after the probed equality prefix, so the first
+// non-NULL value it produces is the minimum.
+func indexOrderedMin(input Node, env *Env, call *sql.FuncCall) bool {
+	scan, ok := input.(*IndexEqScan)
+	if !ok || call.Name != "MIN" || len(call.Args) != 1 {
+		return false
+	}
+	cr, ok := call.Args[0].(*sql.ColumnRef)
+	if !ok {
+		return false
+	}
+	res, err := env.resolve(cr.Table, cr.Name)
+	if err != nil || res.levelsUp != 0 {
+		return false
+	}
+	var cols []int
+	if scan.Index != nil {
+		cols = scan.Index.Cols
+	} else {
+		cols = scan.Table.Clustered().Cols
+	}
+	n := len(scan.KeyFns)
+	return n < len(cols) && cols[n] == res.idx
 }
 
 // rewriteForAgg replaces group-by expressions with $grp references and

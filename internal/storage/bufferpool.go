@@ -40,6 +40,12 @@ const minFramesPerShard = 64
 type BufferPool struct {
 	disk   DiskManager
 	shards []*poolShard
+
+	// freeMu guards freeIDs: page ids Discard released, which NewPage hands
+	// out again before growing the disk manager. Lock order: a shard latch,
+	// then freeMu.
+	freeMu  sync.Mutex
+	freeIDs []PageID
 }
 
 // poolShard is one latch domain of the pool.
@@ -148,14 +154,19 @@ func (bp *BufferPool) ResetStats() {
 	}
 }
 
-// NewPage allocates a fresh page on disk and returns it pinned. A zeroed
-// frame is valid content for a fresh page, so the new frame is installed
-// immediately; only the dirty victim's flush (if any) happens outside the
-// latch.
+// NewPage returns a pinned page with zeroed content: an id Discard
+// released if one is free, else a fresh page allocated on disk. A zeroed
+// frame is valid content for either, so the new frame is installed
+// immediately (dirty, so the disk copy — stale bytes for a recycled id —
+// is overwritten on eviction); only the dirty victim's flush (if any)
+// happens outside the latch.
 func (bp *BufferPool) NewPage() (*Page, error) {
-	id, err := bp.disk.AllocatePage()
-	if err != nil {
-		return nil, err
+	id, ok := bp.popFree()
+	if !ok {
+		var err error
+		if id, err = bp.disk.AllocatePage(); err != nil {
+			return nil, err
+		}
 	}
 	sh := bp.shardFor(id)
 	sh.mu.Lock()
@@ -359,28 +370,47 @@ func (sh *poolShard) victimLocked() (idx int, victim *Page, err error) {
 	return 0, nil, fmt.Errorf("storage: buffer pool shard exhausted (%d frames, all pinned)", n)
 }
 
-// Discard drops page id from the pool without writing it back. The caller
-// asserts nothing references the page anymore — a truncated table's
-// abandoned chain — so its content, dirty or not, is dead; flushing it
-// would charge eviction I/O for bytes nothing will ever read. Pinned
-// frames and frames mid-load are left alone (their holders still expect
-// valid content), and absent pages are a no-op: the disk copy may keep
-// stale bytes, but page ids are allocated monotonically and an
-// unreferenced id is never fetched again.
+// Discard drops page id from the pool without writing it back and
+// releases the id for reuse by NewPage. The caller asserts nothing
+// references the page anymore — a truncated table's abandoned chain — so
+// its content, dirty or not, is dead; flushing it would charge eviction I/O
+// for bytes nothing will ever read.
+//
+// An id is recycled only when the pool holds no claim on it: a pinned frame
+// or a frame mid-load is left alone (its holder still expects valid
+// content), and so is an id fenced in flushing, whose in-flight write-back
+// would otherwise land on top of the page's next content. Such ids are
+// leaked, not reused; a later Discard cannot reach them either.
 func (bp *BufferPool) Discard(id PageID) {
 	sh := bp.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	idx, ok := sh.table[id]
-	if !ok {
+	if idx, ok := sh.table[id]; ok {
+		pg := sh.frames[idx]
+		if pg.pinCount > 0 || pg.loading != nil {
+			return
+		}
+		delete(sh.table, id)
+		sh.frames[idx] = nil
+	} else if _, fenced := sh.flushing[id]; fenced {
 		return
 	}
-	pg := sh.frames[idx]
-	if pg.pinCount > 0 || pg.loading != nil {
-		return
+	bp.freeMu.Lock()
+	bp.freeIDs = append(bp.freeIDs, id)
+	bp.freeMu.Unlock()
+}
+
+// popFree takes a recycled page id, if any.
+func (bp *BufferPool) popFree() (PageID, bool) {
+	bp.freeMu.Lock()
+	defer bp.freeMu.Unlock()
+	n := len(bp.freeIDs)
+	if n == 0 {
+		return InvalidPageID, false
 	}
-	delete(sh.table, id)
-	sh.frames[idx] = nil
+	id := bp.freeIDs[n-1]
+	bp.freeIDs = bp.freeIDs[:n-1]
+	return id, true
 }
 
 // FlushAll writes every dirty page back to disk (pages stay cached). Frames

@@ -2,8 +2,10 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"path/filepath"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -430,5 +432,214 @@ func TestFileDiskPersistAcrossManagers(t *testing.T) {
 	defer d2.Close()
 	if d2.NumPages() != 0 {
 		t.Fatal("fresh manager starts empty (truncate semantics)")
+	}
+}
+
+// TestDiscardRecyclesPageIDs: NewPage hands out ids Discard released before
+// growing the disk, zeroed; a pinned page's id is never recycled.
+func TestDiscardRecyclesPageIDs(t *testing.T) {
+	disk := NewMemDiskManager(0)
+	bp := NewBufferPool(disk, 8)
+	ids := map[PageID]bool{}
+	for i := 0; i < 4; i++ {
+		pg, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg.Data[0] = 0xEE
+		ids[pg.ID()] = true
+		bp.Unpin(pg, true)
+	}
+	if err := bp.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	for id := range ids {
+		bp.Discard(id)
+	}
+	for i := 0; i < 4; i++ {
+		pg, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ids[pg.ID()] {
+			t.Fatalf("NewPage allocated %d instead of a discarded id", pg.ID())
+		}
+		if pg.Data[0] != 0 {
+			t.Fatalf("recycled page %d carries stale content %#x", pg.ID(), pg.Data[0])
+		}
+		bp.Unpin(pg, true)
+	}
+	if n := disk.NumPages(); n != 4 {
+		t.Fatalf("disk grew to %d pages, want 4", n)
+	}
+
+	pinned, err := bp.NewPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp.Discard(pinned.ID())
+	pg, err := bp.NewPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pg.ID() == pinned.ID() {
+		t.Fatal("a pinned page's id was recycled")
+	}
+	bp.Unpin(pg, false)
+	bp.Unpin(pinned, false)
+}
+
+// TestDiscardSkipsFencedPage: an id whose write-back is in flight is not
+// recycled — the late write would land on top of the id's next content.
+func TestDiscardSkipsFencedPage(t *testing.T) {
+	gd := &gatedDisk{
+		DiskManager: NewMemDiskManager(0),
+		gateID:      InvalidPageID,
+		gate:        make(chan struct{}),
+		entered:     make(chan struct{}, 4),
+	}
+	bp := NewBufferPool(gd, 8)
+	var ids []PageID
+	for i := 0; i < 8; i++ {
+		pg, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, pg.ID())
+		bp.Unpin(pg, true)
+	}
+	victimID := ids[0]
+	gd.gateID = victimID
+	newDone := make(chan error, 1)
+	go func() {
+		pg, err := bp.NewPage()
+		if err == nil {
+			bp.Unpin(pg, false)
+		}
+		newDone <- err
+	}()
+	<-gd.entered // the victim's flush is parked: its id is fenced
+	bp.Discard(victimID)
+	close(gd.gate)
+	if err := <-newDone; err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		pg, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pg.ID() == victimID {
+			t.Fatal("an id fenced mid-flush was recycled")
+		}
+		bp.Unpin(pg, false)
+	}
+}
+
+// TestDiscardConcurrentWithEviction truncates page chains while other
+// goroutines churn a pool too small for everyone, so discards race dirty
+// evictions and their write-backs (run under -race). Every page must read
+// back exactly what its current owner last wrote, and recycling must keep
+// the disk from growing with every truncate.
+func TestDiscardConcurrentWithEviction(t *testing.T) {
+	disk := NewMemDiskManager(5 * time.Microsecond)
+	bp := NewBufferPool(disk, 16)
+	const readers, owned, rounds, chain = 2, 8, 300, 6
+
+	stamp := func(pg *Page, v uint32) {
+		pg.PutU32(0, uint32(pg.ID()))
+		pg.PutU32(4, v)
+	}
+	check := func(pg *Page, v uint32) error {
+		if id, got := pg.U32(0), pg.U32(4); id != uint32(pg.ID()) || got != v {
+			return fmt.Errorf("page %d holds (%d, %d), want (%d, %d)", pg.ID(), id, got, pg.ID(), v)
+		}
+		return nil
+	}
+
+	errs := make(chan error, readers+1)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		var mine []PageID
+		for i := 0; i < owned; i++ {
+			pg, err := bp.NewPage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stamp(pg, 0)
+			mine = append(mine, pg.ID())
+			bp.Unpin(pg, true)
+		}
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			vers := make([]uint32, owned)
+			for i := 0; i < rounds*chain; i++ {
+				k := rng.Intn(owned)
+				pg, err := bp.Fetch(mine[k])
+				if err != nil {
+					errs <- err
+					return
+				}
+				err = check(pg, vers[k])
+				vers[k]++
+				stamp(pg, vers[k])
+				bp.Unpin(pg, true)
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(int64(r))
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for gen := uint32(1); gen <= rounds; gen++ {
+			var ids []PageID
+			for i := 0; i < chain; i++ {
+				pg, err := bp.NewPage()
+				if err != nil {
+					errs <- err
+					return
+				}
+				if pg.U32(0) != 0 || pg.U32(4) != 0 {
+					errs <- fmt.Errorf("NewPage %d is not zeroed", pg.ID())
+					return
+				}
+				stamp(pg, gen)
+				ids = append(ids, pg.ID())
+				bp.Unpin(pg, true)
+			}
+			for _, id := range ids {
+				pg, err := bp.Fetch(id)
+				if err != nil {
+					errs <- err
+					return
+				}
+				err = check(pg, gen)
+				bp.Unpin(pg, false)
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			for _, id := range ids {
+				bp.Discard(id)
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if bp.PinnedPages() != 0 {
+		t.Fatalf("pin leak: %d", bp.PinnedPages())
+	}
+	// Without recycling the truncater alone would allocate rounds*chain.
+	if n := disk.NumPages(); n > readers*owned+rounds*chain/2 {
+		t.Fatalf("disk grew to %d pages: truncated pages are not being reused", n)
 	}
 }

@@ -355,7 +355,8 @@ func (t *Table) CreateIndex(name string, cols []int, unique bool) (*Index, error
 // each structure keeps its first page and discards the rest from the pool
 // without write-back, so truncate-heavy scratch traffic (the FEM expansion
 // table, cleared every round) neither allocates a page per cycle nor fills
-// the pool with dead dirty pages awaiting eviction I/O.
+// the pool with dead dirty pages awaiting eviction I/O. The discarded ids
+// return to the pool, which hands them to the next table that grows.
 func (t *Table) Truncate() error {
 	if t.clustered != nil {
 		if err := t.clustered.tree.Reset(); err != nil {

@@ -23,7 +23,9 @@
 // budget; the context carries deadlines and cancellation, honored within
 // one frontier iteration. Engine is safe for any number of concurrent
 // callers (an LRU result cache answers repeats from memory; relational
-// searches serialize on a query latch), Engine.QueryBatch fans a request
+// searches share a query gate and write private scratch tables, so they
+// run concurrently, while loads, builds and mutations take the gate
+// exclusively), Engine.QueryBatch fans a request
 // set across a worker pool, and cmd/spdbd exposes the whole stack over
 // HTTP (POST /query). See docs/ARCHITECTURE.md for the concurrency model,
 // the planner's decision table, and their invariants.
@@ -59,8 +61,9 @@ import (
 
 // Re-exported database types.
 type (
-	// DB is an embedded relational database instance. SELECTs run
-	// concurrently under a shared latch; mutating statements are exclusive.
+	// DB is an embedded relational database instance. Each statement locks
+	// the tables it reads (shared) and writes (exclusive), so statements
+	// over disjoint tables run concurrently; DDL runs alone.
 	DB = rdb.DB
 	// DBOptions configures Open (buffer pool size, backing file, profile).
 	DBOptions = rdb.Options
