@@ -8,7 +8,7 @@ import (
 	"repro/internal/rdb"
 )
 
-// The statement shapes of Algorithm 1 (djInit..djDist) are rendered per
+// The statement shapes of Algorithm 1 (djInit..djTarget) are rendered per
 // scratch set at mint time: the MaxDist/NoParent sentinels bind as
 // parameters (not integer literals), so the texts are per-set constants and
 // every execution reuses the cached plan.
@@ -49,7 +49,7 @@ func (e *Engine) dj(ctx context.Context, sc *scratchSet, s, t int64, budget int6
 	found := false
 	for iter := 0; ; iter++ {
 		// Cooperative cancellation: one check per frontier iteration, so a
-		// dead query releases the latch within a single expansion round.
+		// dead query returns its gate admission within one expansion round.
 		if err := rdb.ContextErr(ctx); err != nil {
 			return Path{}, qs, fmt.Errorf("core: DJ cancelled after %d iterations: %w", iter, err)
 		}
@@ -66,7 +66,7 @@ func (e *Engine) dj(ctx context.Context, sc *scratchSet, s, t int64, budget int6
 			break // no candidate left: t unreachable
 		}
 		// Listing 2(3,4): E and M operators for the frontier node.
-		if _, err := e.runExpand(ctx, qs, xp, []any{mid}, 0, 4*MaxDist); err != nil {
+		if _, err := e.runExpand(ctx, qs, xp, []any{mid}, 0, 4*MaxDist, nil); err != nil {
 			return Path{}, qs, err
 		}
 		qs.ForwardExpansions++
@@ -96,14 +96,18 @@ func (e *Engine) dj(ctx context.Context, sc *scratchSet, s, t int64, budget int6
 		return Path{Found: false}, qs, nil
 	}
 
-	dist, null, err := e.queryInt(ctx, qs, &qs.FPR, sc.djDist, t)
+	dist, null, err := e.queryInt(ctx, qs, &qs.FPR, sc.recD2S, t)
 	if err != nil {
 		return Path{}, qs, err
 	}
 	if null {
 		return Path{}, qs, fmt.Errorf("core: DJ finalized target without a distance")
 	}
-	nodes, err := e.recoverForward(ctx, qs, sc, s, t, false)
+	w := chainWalk{guard: e.nodes + 2,
+		parent: func(ctx context.Context, forward bool, nid int64) (int64, bool, error) {
+			return e.readParent(ctx, qs, sc, forward, nid)
+		}}
+	nodes, err := w.path(ctx, s, t, t)
 	if err != nil {
 		return Path{}, qs, err
 	}

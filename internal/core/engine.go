@@ -195,14 +195,14 @@ const DefaultRepairThreshold = 4096
 // parallel through the shared side of a reader/writer query gate, each
 // leasing a private scratch-table set from a pool so their frontier
 // scribbling lands in disjoint tables; mutators (LoadGraph, ApplyMutations,
-// index builds, MST, Reachable) take the exclusive side, draining readers
-// first. The path cache still answers repeat queries from memory without
-// touching gate or database, and QueryBatch fans a query set across a
-// worker pool. The unified entry point is Query (query.go): a declarative
-// request with an algorithm hint (AlgAuto engages the cost-based planner),
-// an error tolerance, a statement budget, and cooperative cancellation
-// through context.Context. See docs/ARCHITECTURE.md §Concurrency model and
-// §Query planning & cancellation.
+// index builds) take the exclusive side, draining readers first. The path
+// cache still answers repeat queries from memory without touching gate or
+// database, and QueryBatch fans a query set across a worker pool. The
+// unified entry point is Query (query.go): a declarative request with an
+// algorithm hint (AlgAuto engages the cost-based planner), an error
+// tolerance, a statement budget, and cooperative cancellation through
+// context.Context. See docs/ARCHITECTURE.md §Concurrency model and §Query
+// planning & cancellation.
 type Engine struct {
 	db *rdb.DB
 	// sess is the engine's own connection — the analogue of the paper's
@@ -251,11 +251,8 @@ type Engine struct {
 	// mutators exclusive (drain readers, run alone). Waiters of either
 	// kind abandon the queue when their context is cancelled.
 	gate *queryGate
-	// scratch pools the per-query working-table sets readers lease;
-	// scratchGlobal is the original TVisited set, reserved for exclusive
-	// operations (MST, Reachable, degraded searches).
-	scratch       scratchPool
-	scratchGlobal *scratchSet
+	// scratch pools the per-query working-table sets searches lease.
+	scratch scratchPool
 	// snapRetries counts searches re-run because the graph version moved
 	// between admission and commit (a safety net: the gate excludes writers
 	// while readers run, so this staying 0 is the expected steady state);
@@ -302,9 +299,8 @@ func NewEngine(db *rdb.DB, opts Options) *Engine {
 		opts.CacheSize = DefaultCacheSize
 	}
 	e := &Engine{db: db, sess: db.Session(), opts: opts,
-		gate:          newQueryGate(),
-		scratchGlobal: newScratchSet(-1),
-		stmtCache:     make(map[string]*rdb.Stmt)}
+		gate:      newQueryGate(),
+		stmtCache: make(map[string]*rdb.Stmt)}
 	e.scratch.e = e
 	for i := range e.queryDur {
 		e.queryDur[i] = obs.NewHistogram(obs.DefLatencyBuckets...)
@@ -583,28 +579,6 @@ func (e *Engine) search(ctx context.Context, sc *scratchSet, alg Algorithm, s, t
 	switch alg {
 	case AlgDJ:
 		return e.dj(ctx, sc, s, t, budget)
-	case AlgBDJ:
-		return e.bidirectional(ctx, sc, specBDJ(sc), s, t, budget)
-	case AlgBSDJ:
-		return e.bidirectional(ctx, sc, specBSDJ(sc), s, t, budget)
-	case AlgBBFS:
-		return e.bidirectional(ctx, sc, specBBFS(sc), s, t, budget)
-	case AlgBSEG:
-		e.mu.RLock()
-		segBuilt, segLthd := e.segBuilt, e.segLthd
-		e.mu.RUnlock()
-		if !segBuilt {
-			return Path{}, nil, fmt.Errorf("core: BSEG requires BuildSegTable first")
-		}
-		return e.bidirectional(ctx, sc, specBSEG(sc, segLthd), s, t, budget)
-	case AlgALT:
-		e.mu.RLock()
-		built := e.orc != nil
-		e.mu.RUnlock()
-		if !built {
-			return Path{}, nil, fmt.Errorf("core: ALT requires BuildOracle first (rebuild after graph changes)")
-		}
-		return e.bidirectional(ctx, sc, specALT(sc, s, t), s, t, budget)
 	case AlgLabel:
 		e.mu.RLock()
 		built := e.lbl != nil
@@ -614,7 +588,11 @@ func (e *Engine) search(ctx context.Context, sc *scratchSet, alg Algorithm, s, t
 		}
 		return e.labelSearch(ctx, s, t, budget)
 	}
-	return Path{}, nil, fmt.Errorf("core: unknown algorithm %v", alg)
+	spec, err := e.femSpecFor(alg, sc, s, t)
+	if err != nil {
+		return Path{}, nil, err
+	}
+	return e.femSearch(ctx, sc, spec, s, t, budget)
 }
 
 // maxIters resolves Options.MaxIters: an explicit positive cap wins, the

@@ -146,7 +146,10 @@ func (e *Engine) buildExpand(d direction, edgeTbl, frontier string, frontierArgs
 //	NSQL, MERGE available, separate:  3 statements (clear, E-insert, MERGE)
 //	NSQL, no MERGE (PostgreSQL 9.0):  4 statements (clear, E-insert, UPDATE, INSERT)
 //	TSQL:                             6 statements (aggregate E ×2 + UPDATE, INSERT)
-func (e *Engine) runExpand(ctx context.Context, qs *QueryStats, x *expandSQL, frontierArgs []any, lOther, minCost int64) (int64, error) {
+//
+// A non-nil harvest forces a materialized form and runs between the E and
+// M operators, while TExpand holds the E output.
+func (e *Engine) runExpand(ctx context.Context, qs *QueryStats, x *expandSQL, frontierArgs []any, lOther, minCost int64, harvest func() error) (int64, error) {
 	if len(frontierArgs) != x.frontierArgs {
 		return 0, fmt.Errorf("core: expansion expects %d frontier args, got %d", x.frontierArgs, len(frontierArgs))
 	}
@@ -162,7 +165,7 @@ func (e *Engine) runExpand(ctx context.Context, qs *QueryStats, x *expandSQL, fr
 
 	useTraditional := e.opts.TraditionalSQL
 	useMerge := e.db.Profile().SupportsMerge && !useTraditional
-	fusedOK := useMerge && !e.opts.SeparateOperators && e.db.Profile().SupportsWindow
+	fusedOK := useMerge && !e.opts.SeparateOperators && e.db.Profile().SupportsWindow && harvest == nil
 
 	if fusedOK {
 		// The VALUES clause trails the windowed source, so the sentinel
@@ -187,6 +190,12 @@ func (e *Engine) runExpand(ctx context.Context, qs *QueryStats, x *expandSQL, fr
 		}
 		// insExpandTr contains the frontier+prune placeholders once more.
 		if _, err := e.exec(ctx, qs, &qs.PE, &qs.EOp, x.insExpandTr, eArgs...); err != nil {
+			return 0, err
+		}
+	}
+
+	if harvest != nil {
+		if err := harvest(); err != nil {
 			return 0, err
 		}
 	}

@@ -2,215 +2,11 @@ package core
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/graph"
 	"repro/internal/rdb"
 )
-
-// kruskalWeight computes the minimal spanning forest weight in memory
-// (reference for the FEM MST). Treats each directed edge as undirected.
-func kruskalWeight(g *graph.Graph) (int64, int) {
-	type ue struct{ u, v, w int64 }
-	var edges []ue
-	for _, e := range g.Edges {
-		edges = append(edges, ue{e.From, e.To, e.Weight})
-	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i].w < edges[j].w })
-	parent := make([]int64, g.N)
-	for i := range parent {
-		parent[i] = int64(i)
-	}
-	var find func(int64) int64
-	find = func(x int64) int64 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	var total int64
-	merged := 0
-	for _, e := range edges {
-		ru, rv := find(e.u), find(e.v)
-		if ru != rv {
-			parent[ru] = rv
-			total += e.w
-			merged++
-		}
-	}
-	return total, int(g.N) - merged // component count
-}
-
-// directedAsUndirected doubles every edge so FEM-MST (which expands
-// out-edges) sees an undirected graph.
-func directedAsUndirected(g *graph.Graph) *graph.Graph {
-	var edges []graph.Edge
-	for _, e := range g.Edges {
-		edges = append(edges, e, graph.Edge{From: e.To, To: e.From, Weight: e.Weight})
-	}
-	out, err := graph.New(g.N, edges)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-func TestMSTMatchesKruskal(t *testing.T) {
-	base := graph.Random(40, 100, 21)
-	g := directedAsUndirected(base)
-	e := newTestEngine(t, g, rdb.Options{}, Options{})
-	res, err := e.MinimumSpanningForest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, comps := kruskalWeight(g)
-	if res.TotalWeight != want {
-		t.Fatalf("MST weight %d, Kruskal %d", res.TotalWeight, want)
-	}
-	if res.Components != comps {
-		t.Fatalf("components %d, want %d", res.Components, comps)
-	}
-	if len(res.Edges) != int(g.N)-comps {
-		t.Fatalf("edge count %d, want %d", len(res.Edges), int(g.N)-comps)
-	}
-	// Every reported edge must exist with that weight.
-	for _, me := range res.Edges {
-		found := false
-		g.OutEdges(me.From, func(v, w int64) {
-			if v == me.To && w == me.Weight {
-				found = true
-			}
-		})
-		if !found {
-			t.Fatalf("MST edge %v not in graph", me)
-		}
-	}
-}
-
-func TestMSTDisconnected(t *testing.T) {
-	// Two components: 0-1-2 and 3-4.
-	edges := []graph.Edge{
-		{From: 0, To: 1, Weight: 2}, {From: 1, To: 0, Weight: 2},
-		{From: 1, To: 2, Weight: 3}, {From: 2, To: 1, Weight: 3},
-		{From: 3, To: 4, Weight: 7}, {From: 4, To: 3, Weight: 7},
-	}
-	g, _ := graph.New(5, edges)
-	e := newTestEngine(t, g, rdb.Options{}, Options{})
-	res, err := e.MinimumSpanningForest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Components != 2 || res.TotalWeight != 12 || len(res.Edges) != 3 {
-		t.Fatalf("forest wrong: %+v", res)
-	}
-}
-
-func TestQuickMSTWeight(t *testing.T) {
-	if testing.Short() {
-		t.Skip("property test skipped in -short mode")
-	}
-	fn := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int64(10 + rng.Intn(25))
-		g := directedAsUndirected(graph.Random(n, int(n)*2, seed))
-		db, err := rdb.Open(rdb.Options{})
-		if err != nil {
-			return false
-		}
-		defer db.Close()
-		e := NewEngine(db, Options{})
-		if err := e.LoadGraph(g); err != nil {
-			return false
-		}
-		res, err := e.MinimumSpanningForest()
-		if err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
-		want, _ := kruskalWeight(g)
-		return res.TotalWeight == want
-	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMSTOnPostgresProfile(t *testing.T) {
-	g := directedAsUndirected(graph.Random(25, 60, 5))
-	e := newTestEngine(t, g, rdb.Options{Profile: rdb.ProfilePostgreSQL9}, Options{})
-	res, err := e.MinimumSpanningForest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := kruskalWeight(g)
-	if res.TotalWeight != want {
-		t.Fatalf("postgres-profile MST weight %d, want %d", res.TotalWeight, want)
-	}
-}
-
-func TestReachable(t *testing.T) {
-	edges := []graph.Edge{
-		{From: 0, To: 1, Weight: 1},
-		{From: 1, To: 2, Weight: 1},
-		{From: 2, To: 3, Weight: 1},
-		{From: 4, To: 0, Weight: 1}, // 4 reaches all; nothing reaches 4
-	}
-	g, _ := graph.New(5, edges)
-	e := newTestEngine(t, g, rdb.Options{}, Options{})
-	r, err := e.Reachable(0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Reachable || r.Hops != 3 {
-		t.Fatalf("0->3: %+v", r)
-	}
-	r, err = e.Reachable(0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Reachable {
-		t.Fatalf("0->4 must be unreachable: %+v", r)
-	}
-	r, err = e.Reachable(2, 2)
-	if err != nil || !r.Reachable || r.Hops != 0 {
-		t.Fatalf("self: %+v %v", r, err)
-	}
-}
-
-func TestQuickReachability(t *testing.T) {
-	if testing.Short() {
-		t.Skip("property test skipped in -short mode")
-	}
-	fn := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int64(10 + rng.Intn(30))
-		g := graph.Random(n, int(n)*2, seed)
-		db, err := rdb.Open(rdb.Options{})
-		if err != nil {
-			return false
-		}
-		defer db.Close()
-		e := NewEngine(db, Options{})
-		if err := e.LoadGraph(g); err != nil {
-			return false
-		}
-		for trial := 0; trial < 4; trial++ {
-			s, tt := rng.Int63n(n), rng.Int63n(n)
-			ref := graph.MDJ(g, s, tt)
-			r, err := e.Reachable(s, tt)
-			if err != nil || r.Reachable != ref.Found {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // segTableSnapshot reads (fid,tid)->cost maps for comparison.
 func segTableSnapshot(t *testing.T, e *Engine, tbl string) map[[2]int64]int64 {

@@ -2,14 +2,16 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/oracle"
 	"repro/internal/rdb"
 )
 
-// femSpec parameterizes the generic bi-directional FEM loop. The four
+// femSpec parameterizes the bi-directional FEM loop (RunFEM). The
 // bi-directional algorithms differ only in (i) the frontier-selection rule
 // (the F-operator), (ii) the edge source (TEdges vs SegTable) and (iii)
 // whether the lf/lb bounds participate in termination — exactly the axes
@@ -185,69 +187,154 @@ func specALT(sc *scratchSet, s, t int64) femSpec {
 	return spec
 }
 
-// bidirectional runs the generic FEM loop of Algorithm 2: initialize
-// TVisited with s and t, repeatedly pick the direction with the smaller
-// frontier, run F (sign update), E+M (expansion), collect lf/lb/minCost,
-// and stop when lf + lb >= minCost or either search exhausts (§4.1's
-// termination; exhaustion of one side finalizes that side's distances, so
-// minCost is then exact). Every statement shape is prepared once — the
-// loop only binds fresh parameters.
-func (e *Engine) bidirectional(ctx context.Context, sc *scratchSet, spec femSpec, s, t int64, budget int64) (Path, *QueryStats, error) {
-	qs := &QueryStats{Algorithm: spec.name, budget: budget}
+// femSpecFor resolves a bi-directional algorithm to its spec over sc. s and
+// t bind ALT's landmark bounds; the other algorithms ignore them.
+func (e *Engine) femSpecFor(alg Algorithm, sc *scratchSet, s, t int64) (femSpec, error) {
+	e.mu.RLock()
+	segBuilt, segLthd, orcBuilt := e.segBuilt, e.segLthd, e.orc != nil
+	e.mu.RUnlock()
+	switch alg {
+	case AlgBDJ:
+		return specBDJ(sc), nil
+	case AlgBSDJ:
+		return specBSDJ(sc), nil
+	case AlgBBFS:
+		return specBBFS(sc), nil
+	case AlgBSEG:
+		if !segBuilt {
+			return femSpec{}, fmt.Errorf("core: BSEG requires BuildSegTable first")
+		}
+		return specBSEG(sc, segLthd), nil
+	case AlgALT:
+		if !orcBuilt {
+			return femSpec{}, fmt.Errorf("core: ALT requires BuildOracle first (rebuild after graph changes)")
+		}
+		return specALT(sc, s, t), nil
+	}
+	return femSpec{}, fmt.Errorf("core: unknown algorithm %v", alg)
+}
+
+// femSearch answers one query on this engine: a single handle over the
+// leased scratch set, driven by RunFEM. The caller holds the query gate.
+func (e *Engine) femSearch(ctx context.Context, sc *scratchSet, spec femSpec, s, t int64, budget int64) (Path, *QueryStats, error) {
 	start := time.Now()
-	defer func() {
-		qs.Total = time.Since(start)
-	}()
-
-	if err := e.resetVisited(ctx, qs, sc); err != nil {
-		return Path{}, qs, err
+	h, err := newSuperstep(ctx, e, sc, spec, budget)
+	defer func() { h.qs.Total = time.Since(start) }()
+	if err != nil {
+		return Path{}, h.qs, err
 	}
+	run, err := RunFEM(ctx, []*Superstep{h}, func(int64) int { return 0 }, s, t, 4*MaxDist)
+	return run.Path, run.Stats, err
+}
+
+// FEMRun is the outcome of RunFEM.
+type FEMRun struct {
+	// Path is the answer. Found with nil Nodes means the distance is the
+	// caller's upper bound and no handle recorded a meeting at that cost,
+	// so the caller supplies the path behind its bound.
+	Path Path
+	// Stats is the search's accounting: the handle's own stats for one
+	// handle, the sum over all handles for several. Set on error too.
+	Stats *QueryStats
+	// Exchanged counts candidates routed to a handle other than the one
+	// that produced them.
+	Exchanged int
+}
+
+// prefetchWorkers is the per-handle probe concurrency that warms a
+// multi-handle superstep's frontier adjacency (Superstep.prefetch).
+const prefetchWorkers = 8
+
+// RunFEM is the one implementation of Algorithm 2's loop: initialize the
+// visited sets with s and t, repeatedly pick a direction, run F (sign
+// update), E+M (expansion), collect lf/lb/minCost, and stop when
+// lf + lb >= minCost or both directions exhaust (exhausting one side
+// finalizes its distances, so minCost is then exact). Path recovery walks
+// the parent chains from a meeting node. Every statement shape is prepared
+// once; the loop only binds fresh parameters.
+//
+// hs holds one per-query handle per engine, and owner maps a node to the
+// index of the handle that owns it. One handle
+// is the single engine: everything runs inline and the expansion takes the
+// engine's fused, separate or TSQL form. Several handles are the Pregel
+// model of the shard coordinator: each superstep fans out across the
+// handles, every handle selects and expands its local slice of the
+// frontier, and the harvested (nid, parent, cost) candidates are routed to
+// their owners and merged there. Owner rows thus receive every candidate
+// and hold the global distances, so folding the per-handle minima gives
+// the global minCost, lf and lb.
+//
+// upper is an admissible upper bound on d(s,t) known before the search
+// (4*MaxDist when none); it tightens the prune and the stop check from the
+// first superstep.
+func RunFEM(ctx context.Context, hs []*Superstep, owner func(nid int64) int, s, t, upper int64) (FEMRun, error) {
+	lead := hs[0]
+	e, spec := lead.e, lead.spec
+	run := FEMRun{Stats: lead.qs}
+	if len(hs) > 1 {
+		run.Stats = &QueryStats{Algorithm: spec.name}
+		defer func() {
+			for _, h := range hs {
+				run.Stats.add(h.qs)
+			}
+		}()
+	}
+	qs := run.Stats
+	at := func(nid int64) *Superstep { return hs[owner(nid)] }
 	if s == t {
-		return Path{Found: true, Length: 0, Nodes: []int64{s}}, qs, nil
-	}
-	// Initialize with the two endpoints (line 1 of Algorithm 2); the
-	// MaxDist/NoParent sentinels bind as parameters like everything else.
-	if _, err := e.exec(ctx, qs, &qs.PE, nil, sc.biInit,
-		s, s, MaxDist, NoParent, t, MaxDist, NoParent, t); err != nil {
-		return Path{}, qs, err
+		run.Path = Path{Found: true, Length: 0, Nodes: []int64{s}}
+		return run, nil
 	}
 
-	fwd, bwd := fwdDir(), bwdDir()
-	xpF := e.buildExpand(fwd, spec.edgeFwd, "q.f = 2", 0, spec.prune, sc)
-	xpB := e.buildExpand(bwd, spec.edgeBwd, "q.b = 2", 0, spec.prune, sc)
-	frontF, frontB := spec.frontier(fwd), spec.frontier(bwd)
-	var preF, preB stmtShape
-	if spec.preFrontier != nil {
-		preF, preB = spec.preFrontier(fwd), spec.preFrontier(bwd)
+	// Initialize with the two endpoints (line 1 of Algorithm 2). Injecting
+	// (s, s, 0) into an empty visited set writes the same row biInit does.
+	if src, dst := at(s), at(t); src == dst {
+		if _, err := src.e.exec(ctx, src.qs, &src.qs.PE, nil, src.sc.biInit,
+			s, s, MaxDist, NoParent, t, MaxDist, NoParent, t); err != nil {
+			return run, err
+		}
+	} else {
+		if err := src.inject(ctx, true, []frontierCand{{s, s, 0}}); err != nil {
+			return run, err
+		}
+		if err := dst.inject(ctx, false, []frontierCand{{t, t, 0}}); err != nil {
+			return run, err
+		}
 	}
+	at(s).fwd.live = true
+	at(t).bwd.live = true
 
 	var lf, lb int64
 	nf, nb := int64(1), int64(1)
 	candF, candB := true, true
-	kf, kb := int64(0), int64(0)
-	minCost := int64(4 * MaxDist)
+	var kf, kb int64
+	minCost := upper
 	limit := e.maxIters()
+	multi := len(hs) > 1
 
 	for iter := 0; ; iter++ {
-		// Cooperative cancellation: one check per frontier iteration, so a
-		// dead query releases the latch within a single expansion round.
+		// Cooperative cancellation: one check per superstep, so a dead
+		// query returns its gate admission within one expansion round.
 		if err := rdb.ContextErr(ctx); err != nil {
-			return Path{}, qs, fmt.Errorf("core: %s cancelled after %d iterations: %w", spec.name, iter, err)
+			return run, fmt.Errorf("core: %s cancelled after %d iterations: %w", spec.name, iter, err)
 		}
 		if iter > limit {
-			return Path{}, qs, fmt.Errorf("core: %s exceeded %d iterations (s=%d t=%d)", spec.name, limit, s, t)
+			return run, fmt.Errorf("core: %s exceeded %d iterations (s=%d t=%d)", spec.name, limit, s, t)
 		}
 		qs.Iterations = iter + 1
 		// Statistics collection: current best meeting cost (line 16).
-		mc, null, err := e.queryInt(ctx, qs, &qs.SC, sc.biMinSum)
-		if err != nil {
-			return Path{}, qs, err
+		if err := each(hs, func(_ int, h *Superstep) error { return h.readSum(ctx) }); err != nil {
+			return run, err
 		}
-		if !null {
-			minCost = mc
+		for _, h := range hs {
+			if h.hasSum && h.sum < minCost {
+				minCost = h.sum
+			}
 		}
-		pathFound := minCost < MaxDist
-		if spec.trackL && StopCondition(lf, lb, minCost) {
+		// §4.1 termination: every undiscovered path still crosses a
+		// forward candidate (>= lf) and a backward one (>= lb). BBFS
+		// leaves the bounds out and terminates by exhaustion.
+		if spec.trackL && minCost < MaxDist && lf+lb >= minCost {
 			break
 		}
 		if !candF && !candB {
@@ -264,47 +351,33 @@ func (e *Engine) bidirectional(ctx context.Context, sc *scratchSet, spec femSpec
 			// frontier nodes to limit intermediate results.
 			forward = candF && (!candB || nf <= nb)
 		}
-		var xp *expandSQL
-		var front, pre stmtShape
-		var reset, minQ string
-		var lOther int64
 		var k int64
 		if forward {
-			xp, front, pre, reset, minQ, lOther = xpF, frontF, preF, sc.biResetF, sc.biMinF, lb
 			kf++
 			k = kf
 		} else {
-			xp, front, pre, reset, minQ, lOther = xpB, frontB, preB, sc.biResetB, sc.biMinB, lf
 			kb++
 			k = kb
 		}
-
-		// ALT pruning: once a path is known, settle frontier-minimum
-		// candidates the landmark bound proves unable to improve it, before
-		// they can be selected. Repeats while whole minimum sets fall: each
-		// settled row was next in line for an expansion. The loop is
-		// bounded — every round either affects nothing (stop) or shrinks
-		// the candidate pool.
-		var pruned int64
-		if spec.preFrontier != nil && pathFound {
-			pargs := pre.bind(minCost)
-			for {
-				n, err := e.exec(ctx, qs, &qs.PE, &qs.FOp, pre.text, pargs...)
-				if err != nil {
-					return Path{}, qs, err
-				}
-				if n == 0 {
-					break
-				}
-				pruned += n
-			}
-			qs.PrunedRows += pruned
+		lOther := lb
+		if !forward {
+			lOther = lf
 		}
 
-		// F-operator: select and mark the frontier (Listing 4(1)).
-		cnt, err := e.exec(ctx, qs, &qs.PE, &qs.FOp, front.text, front.bind(k)...)
-		if err != nil {
-			return Path{}, qs, err
+		// F-operator on every handle (Listing 4(1)). With several handles
+		// a handle whose local minimum exceeds the global one expands
+		// early; the M-operator reopens any row a later candidate improves,
+		// so distances stay exact, and the handle holding the global
+		// minimum always expands it, so progress is Dijkstra's.
+		if err := each(hs, func(_ int, h *Superstep) error {
+			return h.selectFrontier(ctx, forward, k, minCost)
+		}); err != nil {
+			return run, err
+		}
+		var cnt, pruned int64
+		for _, h := range hs {
+			cnt += h.count
+			pruned += h.pruned
 		}
 		if cnt == 0 {
 			if forward {
@@ -313,14 +386,16 @@ func (e *Engine) bidirectional(ctx context.Context, sc *scratchSet, spec femSpec
 				kb--
 			}
 			if pruned > 0 {
-				// Every candidate the frontier would have taken was settled
-				// by the ALT bound this round; candidates may remain (the
-				// pool only shrinks while no expansion runs, so this cannot
-				// loop forever). Retry the direction choice from the top.
+				// ALT settled every candidate the frontier would have
+				// taken; others may remain (the pool only shrinks while
+				// no expansion runs, so this cannot loop forever).
 				continue
 			}
 			// This side is exhausted: its distances are final, so minCost
 			// is exact; the loop re-checks at the top.
+			for _, h := range hs {
+				h.side(forward).live = false
+			}
 			if forward {
 				candF = false
 			} else {
@@ -329,56 +404,151 @@ func (e *Engine) bidirectional(ctx context.Context, sc *scratchSet, spec femSpec
 			continue
 		}
 
-		// E + M operators (Listing 4(2)).
-		if _, err := e.runExpand(ctx, qs, xp, nil, lOther, minCost); err != nil {
-			return Path{}, qs, err
+		// E + M (Listing 4(2)) and the frontier reset (Listing 4(3)).
+		if err := each(hs, func(_ int, h *Superstep) error {
+			return h.expand(ctx, forward, lOther, minCost, multi)
+		}); err != nil {
+			return run, err
 		}
-		if forward {
-			qs.ForwardExpansions++
-		} else {
-			qs.BackwardExpansions++
+		if multi {
+			n, err := exchange(ctx, hs, owner, forward)
+			run.Exchanged += n
+			if err != nil {
+				return run, err
+			}
 		}
 
-		// Mark the frontier as expanded (Listing 4(3)).
-		if _, err := e.exec(ctx, qs, &qs.PE, &qs.FOp, reset); err != nil {
-			return Path{}, qs, err
+		// Collect the expanded direction's minimum (Listing 4(4)). The
+		// other direction needs no re-read: a merge never touches its
+		// columns, and new rows enter it as non-candidates.
+		if err := each(hs, func(_ int, h *Superstep) error { return h.readMin(ctx, forward) }); err != nil {
+			return run, err
 		}
-
-		// Collect the latest minimal distance (Listing 4(4)).
-		l, lnull, err := e.queryInt(ctx, qs, &qs.SC, minQ)
-		if err != nil {
-			return Path{}, qs, err
+		l, live := int64(0), false
+		for _, h := range hs {
+			if d := h.side(forward); d.live && (!live || d.min < l) {
+				l, live = d.min, true
+			}
 		}
 		if forward {
-			if lnull {
-				candF = false
-			} else {
+			if candF = live; live {
 				lf = l
 			}
 			nf = cnt
 		} else {
-			if lnull {
-				candB = false
-			} else {
+			if candB = live; live {
 				lb = l
 			}
 			nb = cnt
 		}
 	}
-	qs.Expansions = qs.ForwardExpansions + qs.BackwardExpansions
 
-	vc, err := e.visitedCount(ctx, qs, sc)
-	if err != nil {
-		return Path{}, qs, err
+	visited := make([]int, len(hs))
+	if err := each(hs, func(i int, h *Superstep) error {
+		var err error
+		visited[i], err = h.e.visitedCount(ctx, h.qs, h.sc)
+		return err
+	}); err != nil {
+		return run, err
 	}
-	qs.VisitedRows = vc
-
+	for _, v := range visited {
+		qs.VisitedRows += v
+	}
 	if minCost >= MaxDist {
-		return Path{Found: false}, qs, nil
+		return run, nil
 	}
-	nodes, err := e.recoverBidirectional(ctx, qs, sc, s, t, minCost, spec.edgeFwd != TblEdges)
+
+	// Full path recovery (lines 17-20): a node on the optimal path
+	// (Listing 4(6)), then the two parent chains through it.
+	meet, met := int64(0), false
+	for _, h := range hs {
+		m, null, err := h.e.queryInt(ctx, h.qs, &h.qs.FPR, h.sc.meet, minCost)
+		if err != nil {
+			return run, err
+		}
+		if !null {
+			meet, met = m, true
+			break
+		}
+	}
+	if !met {
+		if minCost == upper {
+			run.Path = Path{Found: true, Length: minCost}
+			return run, nil
+		}
+		return run, fmt.Errorf("core: no meeting node for minCost=%d", minCost)
+	}
+	w := chainWalk{guard: e.nodes + 2,
+		parent: func(ctx context.Context, forward bool, nid int64) (int64, bool, error) {
+			return at(nid).parent(ctx, forward, nid)
+		}}
+	if spec.edgeFwd != TblEdges {
+		dist := func(ctx context.Context, forward bool, nid int64) (int64, bool, error) {
+			return at(nid).dist(ctx, forward, nid)
+		}
+		w.unfold = func(ctx context.Context, forward bool, p, cur int64) ([]int64, error) {
+			if !multi {
+				return e.unfoldSegment(ctx, lead.qs, forward, p, cur)
+			}
+			return segmentAcross(ctx, hs, dist, forward, p, cur)
+		}
+	}
+	nodes, err := w.path(ctx, s, t, meet)
 	if err != nil {
-		return Path{}, qs, err
+		return run, err
 	}
-	return Path{Found: true, Length: minCost, Nodes: nodes}, qs, nil
+	run.Path = Path{Found: true, Length: minCost, Nodes: nodes}
+	return run, nil
+}
+
+// exchange routes the candidates each handle harvested to the handles
+// owning their nodes and merges them there, keeping the cheapest per node
+// (TExpand's nid is a primary key, and the owner's merge would pick the
+// minimum anyway). A producer-owned candidate was already merged locally.
+// It returns the number of candidates routed.
+func exchange(ctx context.Context, hs []*Superstep, owner func(nid int64) int, forward bool) (int, error) {
+	best := make(map[int64]frontierCand)
+	for prod, h := range hs {
+		for _, c := range h.cands {
+			if owner(c.nid) == prod {
+				continue
+			}
+			if b, ok := best[c.nid]; !ok || c.cost < b.cost {
+				best[c.nid] = c
+			}
+		}
+	}
+	if len(best) == 0 {
+		return 0, nil
+	}
+	batches := make([][]frontierCand, len(hs))
+	for _, c := range best {
+		o := owner(c.nid)
+		batches[o] = append(batches[o], c)
+	}
+	return len(best), each(hs, func(i int, h *Superstep) error {
+		if len(batches[i]) == 0 {
+			return nil
+		}
+		return h.inject(ctx, forward, batches[i])
+	})
+}
+
+// each runs fn for every handle and joins the errors: inline for one
+// handle, one goroutine per handle otherwise.
+func each(hs []*Superstep, fn func(i int, h *Superstep) error) error {
+	if len(hs) == 1 {
+		return fn(0, hs[0])
+	}
+	errs := make([]error, len(hs))
+	var wg sync.WaitGroup
+	for i, h := range hs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i, h)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }

@@ -9,10 +9,10 @@ import (
 
 // queryGate is the engine's admission control: read-only searches enter the
 // shared side and run concurrently (each over its own scratch-table set),
-// while mutators — LoadGraph, ApplyMutations, BuildSegTable, BuildOracle,
-// MST, Reachable — take the exclusive side, draining every in-flight reader
-// first and blocking new ones. It replaces the old one-slot query latch,
-// which serialized all searches because they shared one TVisited table.
+// while mutators — LoadGraph, ApplyMutations, BuildSegTable, BuildOracle —
+// take the exclusive side, draining every in-flight reader first and
+// blocking new ones. It replaces the old one-slot query latch, which
+// serialized all searches because they shared one TVisited table.
 //
 // The gate is writer-preferring: once a writer is queued, new readers hold
 // back until every queued writer has run, so a steady stream of queries can

@@ -25,8 +25,7 @@ const (
 const insertBatch = 400
 
 // LoadGraph creates the relational representation of g (Figure 1 of the
-// paper) under the engine's index strategy and bulk-loads it, then creates
-// the per-query working tables.
+// paper) under the engine's index strategy and bulk-loads it.
 func (e *Engine) LoadGraph(g *graph.Graph) error {
 	if e.optErr != nil {
 		return e.optErr
@@ -64,9 +63,6 @@ func (e *Engine) LoadGraph(g *graph.Graph) error {
 		return err
 	}
 	if err := e.createGraphTables(); err != nil {
-		return err
-	}
-	if err := e.createScratchTables(e.scratchGlobal); err != nil {
 		return err
 	}
 
@@ -146,11 +142,10 @@ func (e *Engine) LoadGraph(g *graph.Graph) error {
 }
 
 // dropAllTables drops every engine-owned relation that exists — graph,
-// working set, SegTable, oracle, labels — so a reload or snapshot
-// hydration starts from a clean catalog.
+// SegTable, oracle, labels — so a reload or snapshot hydration starts from
+// a clean catalog. Scratch sets stay: their pool outlives reloads.
 func (e *Engine) dropAllTables() error {
-	dropList := append([]string{TblNodes, TblEdges, TblVisited, TblExpand,
-		TblExpCost, TblOutSegs, TblInSegs, TblSeg}, oracle.Tables()...)
+	dropList := append([]string{TblNodes, TblEdges, TblOutSegs, TblInSegs, TblSeg}, oracle.Tables()...)
 	dropList = append(dropList, labels.Tables()...)
 	for _, tbl := range dropList {
 		if _, ok := e.db.Catalog().Get(tbl); ok {

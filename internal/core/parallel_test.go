@@ -100,30 +100,26 @@ func TestReadersAdmitInParallel(t *testing.T) {
 
 // TestWriterDrainsReaders pins the admission order: a writer queued behind
 // an in-flight reader waits for it, holds later readers back (writer
-// preference), and runs before them once the reader drains.
+// preference), and runs before them once the reader drains. Reader 2
+// proves the order by the graph version its search starts at: it must be
+// the writer's post-mutation version.
 func TestWriterDrainsReaders(t *testing.T) {
 	g := graph.Power(300, 3, 7)
 	e := newTestEngine(t, g, rdb.Options{}, Options{CacheSize: -1})
-
-	var seqMu sync.Mutex
-	var seq []string
-	record := func(s string) {
-		seqMu.Lock()
-		seq = append(seq, s)
-		seqMu.Unlock()
-	}
+	before := e.GraphVersion()
 
 	r1In := make(chan struct{})
 	release1 := make(chan struct{})
 	var first atomic.Bool
 	first.Store(true)
+	var r2Version atomic.Uint64
 	e.hookSearchStart = func() {
 		if first.CompareAndSwap(true, false) {
 			close(r1In)
 			<-release1
 			return
 		}
-		record("r2-search")
+		r2Version.Store(e.GraphVersion())
 	}
 
 	var wg sync.WaitGroup
@@ -136,6 +132,7 @@ func TestWriterDrainsReaders(t *testing.T) {
 	}()
 	<-r1In
 
+	var writerVersion uint64
 	wg.Add(1)
 	go func() { // writer: must drain reader 1 first
 		defer wg.Done()
@@ -145,7 +142,7 @@ func TestWriterDrainsReaders(t *testing.T) {
 			t.Errorf("writer: %v", err)
 			return
 		}
-		record("writer-done")
+		writerVersion = e.GraphVersion()
 	}()
 	waitFor(t, "writer queued on the gate", func() bool {
 		return e.ConcurrencyStats().Gate.WritersWaiting == 1
@@ -172,11 +169,12 @@ func TestWriterDrainsReaders(t *testing.T) {
 	close(release1) // reader 1 finishes; writer preference decides the rest
 	wg.Wait()
 
-	seqMu.Lock()
-	defer seqMu.Unlock()
-	want := []string{"writer-done", "r2-search"}
-	if len(seq) != len(want) || seq[0] != want[0] || seq[1] != want[1] {
-		t.Fatalf("admission order %v, want %v", seq, want)
+	if writerVersion == before {
+		t.Fatalf("writer left the graph version at %d", before)
+	}
+	if got := r2Version.Load(); got != writerVersion {
+		t.Fatalf("reader 2 searched at graph version %d, want the writer's post-mutation version %d (before: %d)",
+			got, writerVersion, before)
 	}
 	st := e.ConcurrencyStats()
 	if st.Gate.Drains == 0 {

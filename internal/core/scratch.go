@@ -23,10 +23,6 @@ import (
 // stays bounded no matter how many queries run. DDL (CREATE/DROP, each
 // bumping the schema epoch) happens only when the pool grows past its
 // high-water mark or shrinks past the retain floor, never per query.
-//
-// The global set (id -1) keeps the original TVisited/TExpand/TExpCost
-// names; it is created by LoadGraph and reserved for operations that
-// already run under the exclusive gate (MST, Reachable, SegTable builds).
 
 // DefaultScratchRetain is how many scratch sets a release keeps warm when
 // Options.ScratchRetain is 0. Sized for the bench's concurrency levels;
@@ -44,27 +40,23 @@ type scratchSet struct {
 	expand  string
 	expCost string
 
-	// Bi-directional FEM loop (fem.go).
+	// Bi-directional FEM loop (fem.go), and the harvest and routed-candidate
+	// inserts of multi-handle runs (superstep.go).
 	biInit, biResetF, biResetB, biMinSum, biMinF, biMinB string
+	harvest, inj1, injN                                  string
 	// Single-directional Dijkstra (dj.go).
-	djInit, djMid, djFinalize, djTarget, djDist string
+	djInit, djMid, djFinalize, djTarget string
 	// Path recovery (recover.go).
-	recP2S, recP2T, meet string
+	recP2S, recP2T, recD2S, recD2T, meet string
 	// Working-table reset and the search-space metric (loader.go).
 	resets [3]string
 	count  string
 }
 
-// newScratchSet renders the statement texts for set id (negative = the
-// global TVisited set).
+// newScratchSet renders the statement texts for set id.
 func newScratchSet(id int) *scratchSet {
-	sc := &scratchSet{id: id, visited: TblVisited, expand: TblExpand, expCost: TblExpCost}
-	if id >= 0 {
-		suffix := fmt.Sprintf("_q%d", id)
-		sc.visited += suffix
-		sc.expand += suffix
-		sc.expCost += suffix
-	}
+	suffix := fmt.Sprintf("_q%d", id)
+	sc := &scratchSet{id: id, visited: TblVisited + suffix, expand: TblExpand + suffix, expCost: TblExpCost + suffix}
 	v := sc.visited
 	sc.biInit = "INSERT INTO " + v + " (nid, d2s, p2s, f, d2t, p2t, b) VALUES (?, 0, ?, 0, ?, ?, 1), (?, ?, ?, 1, 0, ?, 0)"
 	sc.biResetF = "UPDATE " + v + " SET f = 1 WHERE f = 2"
@@ -72,13 +64,16 @@ func newScratchSet(id int) *scratchSet {
 	sc.biMinSum = "SELECT MIN(d2s + d2t) FROM " + v
 	sc.biMinF = "SELECT MIN(d2s) FROM " + v + " WHERE f = 0"
 	sc.biMinB = "SELECT MIN(d2t) FROM " + v + " WHERE b = 0"
+	sc.harvest = "SELECT nid, par, cost FROM " + sc.expand
+	sc.inj1, sc.injN = injectValues(sc.expand, 1), injectValues(sc.expand, injectChunk)
 	sc.djInit = "INSERT INTO " + v + " (nid, d2s, p2s, f, d2t, p2t, b) VALUES (?, 0, ?, 0, ?, ?, 1)"
 	sc.djMid = "SELECT TOP 1 nid FROM " + v + " WHERE f = 0 AND d2s = (SELECT MIN(d2s) FROM " + v + " WHERE f = 0)"
 	sc.djFinalize = "UPDATE " + v + " SET f = 1 WHERE nid = ?"
 	sc.djTarget = "SELECT nid FROM " + v + " WHERE f = 1 AND nid = ?"
-	sc.djDist = "SELECT d2s FROM " + v + " WHERE nid = ?"
 	sc.recP2S = "SELECT p2s FROM " + v + " WHERE nid = ?"
 	sc.recP2T = "SELECT p2t FROM " + v + " WHERE nid = ?"
+	sc.recD2S = "SELECT d2s FROM " + v + " WHERE nid = ?"
+	sc.recD2T = "SELECT d2t FROM " + v + " WHERE nid = ?"
 	sc.meet = "SELECT TOP 1 nid FROM " + v + " WHERE d2s + d2t = ?"
 	sc.resets = [3]string{"DELETE FROM " + sc.visited, "DELETE FROM " + sc.expand, "DELETE FROM " + sc.expCost}
 	sc.count = "SELECT COUNT(*) FROM " + v
@@ -193,9 +188,8 @@ func (p *scratchPool) stats() ScratchStats {
 }
 
 // createScratchTables creates sc's working tables under the engine's index
-// strategy: the one physical design shared by the global set (created by
-// LoadGraph) and every per-query set. TVisited carries both directions'
-// state (§4.1): d2s/p2s/f forward, d2t/p2t/b backward. Each table is keyed
+// strategy. TVisited carries both directions' state (§4.1): d2s/p2s/f
+// forward, d2t/p2t/b backward. Each table is keyed
 // on nid — clustered, or a heap with a unique secondary index. Under both
 // indexed strategies TVisited also gets non-unique (f, d2s) and (b, d2t)
 // indexes, so the frontier loop's sign probes (`f = 2`, `f = 0 AND d2s =

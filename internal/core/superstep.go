@@ -1,31 +1,26 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"time"
 
-	"context"
-
 	"repro/internal/rdb"
 )
 
-// Partition-parallel FEM support.
-//
-// The bi-directional loop in fem.go owns its whole frontier: F selects, E+M
-// expand and merge, and the stopping condition reads engine-local minima.
-// Horizontal sharding (internal/shard) needs the same machinery one
-// superstep at a time, against a frontier the coordinator seeds from
-// outside: each shard expands its local candidates, the coordinator
-// harvests the boundary (nid, parent, cost) candidates out of the scratch
-// TExpand table, routes every candidate to the shard that owns the node,
-// and injects the routed batches back through the same MERGE the local
-// M-operator uses. A Superstep is that per-query, per-shard handle: it
-// leases a scratch set under the shared read gate and exposes F / E+M /
-// stats / recovery as separate calls, all through the engine's prepared
-// statements.
+// Superstep is one engine's per-query handle on the FEM machinery: a
+// scratch set, the statements rendered over it, the query's accounting and
+// the per-direction frontier state RunFEM keeps for this engine. The
+// single engine runs one handle over the scratch set its query leased; the
+// shard coordinator opens one per shard with BeginSuperstep and passes the
+// slice to RunFEM, which is the Pregel model of PAPERS.md "Relationship
+// Queries on Large graphs using Pregel": each superstep every shard
+// expands its local candidates, the boundary candidates are harvested out
+// of the scratch TExpand table, routed to the shard that owns the node,
+// and injected through the same MERGE the local M-operator uses.
 
 // ErrUnsupportedSuperstep reports an algorithm the superstep surface cannot
 // drive. Node-at-a-time BDJ/DJ never fan out (their frontier is one node),
@@ -34,31 +29,10 @@ import (
 // (BSDJ, BBFS, BSEG) are exposed.
 var ErrUnsupportedSuperstep = errors.New("core: algorithm not supported by the superstep surface (want BSDJ, BBFS or BSEG)")
 
-// FrontierCand is one harvested expansion candidate: node nid is reachable
-// at distance Cost through parent Par. The coordinator exchanges these
-// between shards; Inject applies them through the M-operator MERGE.
-type FrontierCand struct {
-	Nid  int64
-	Par  int64
-	Cost int64
-}
-
-// StopCondition is the paper's §4.1 termination term over the global state:
-// once some s-t meeting is known (minCost) and the two frontier minima lf
-// and lb together cannot beat it, no undiscovered path can either — every
-// such path still crosses a forward candidate (≥ lf) and a backward
-// candidate (≥ lb). The single-engine loop and the shard coordinator
-// evaluate the same term; the coordinator just feeds it global minima.
-func StopCondition(lf, lb, minCost int64) bool {
-	return minCost < MaxDist && lf+lb >= minCost
-}
-
-// SuperstepMins is one shard's statistics-collection round: the best local
-// meeting sum and the two frontier minima, each with a validity flag
-// (false = the aggregate was NULL, i.e. no rows / no candidates).
-type SuperstepMins struct {
-	Sum, MinF, MinB          int64
-	HasSum, HasMinF, HasMinB bool
+// frontierCand is one harvested expansion candidate: node nid is reachable
+// at distance cost through parent par.
+type frontierCand struct {
+	nid, par, cost int64
 }
 
 // injectChunk is the wide INSERT shape used to push routed candidates into
@@ -66,28 +40,54 @@ type SuperstepMins struct {
 // population bounded so prepared handles and cached plans recycle.
 const injectChunk = 16
 
-// Superstep is a per-query handle on one engine's FEM machinery, factored
-// so a coordinator can drive the loop one superstep at a time with an
-// injected seed frontier. The handle holds a shared-gate admission and a
-// leased scratch set from Begin until Close.
+// handleDir is one direction's statements and frontier state on a handle.
+type handleDir struct {
+	d          direction
+	edges      string // TEdges, or the direction's segment table under BSEG
+	xp         *expandSQL
+	front, pre stmtShape
+	reset      string
+	minQ       string
+	// min is the direction's last frontier minimum read on this handle;
+	// live=false when the handle has no candidates in this direction.
+	min  int64
+	live bool
+}
+
+// Superstep is a per-query handle on one engine; see the comment above.
+// Handles from BeginSuperstep hold a shared-gate admission and a scratch
+// lease until Close; the single engine's handle borrows its query's lease
+// and is never closed.
 type Superstep struct {
-	e    *Engine
-	sc   *scratchSet
-	qs   *QueryStats
-	spec femSpec
-	xpF  *expandSQL
-	xpB  *expandSQL
+	e        *Engine
+	sc       *scratchSet
+	qs       *QueryStats
+	spec     femSpec
+	fwd, bwd handleDir
 
-	frontF, frontB stmtShape
-	harvest        string // SELECT the materialized E-output back out
-	distF, distB   string // per-node tentative distance lookups
-	inj1, injN     string // TExpand VALUES shapes (1 and injectChunk rows)
-	segCostF       string // TOutSegs cost probe
-	segCostB       string // TInSegs cost probe
-	fNidsF, fNidsB string // selected-frontier readback (sign = 2)
-	probeF, probeB string // adjacency prefetch probes (per frontier nid)
+	// This superstep's results, written by the handle's own goroutine.
+	sum           int64
+	hasSum        bool
+	count, pruned int64
+	cands         []frontierCand
+	closed        bool
+}
 
-	closed bool
+// newSuperstep renders a handle's statements over sc and clears sc's
+// tables. budget caps the handle's statement count (0 = unlimited).
+func newSuperstep(ctx context.Context, e *Engine, sc *scratchSet, spec femSpec, budget int64) (*Superstep, error) {
+	h := &Superstep{e: e, sc: sc, spec: spec, qs: &QueryStats{Algorithm: spec.name, budget: budget}}
+	fwd, bwd := fwdDir(), bwdDir()
+	h.fwd = handleDir{d: fwd, edges: spec.edgeFwd,
+		xp:    e.buildExpand(fwd, spec.edgeFwd, "q.f = 2", 0, spec.prune, sc),
+		front: spec.frontier(fwd), reset: sc.biResetF, minQ: sc.biMinF}
+	h.bwd = handleDir{d: bwd, edges: spec.edgeBwd,
+		xp:    e.buildExpand(bwd, spec.edgeBwd, "q.b = 2", 0, spec.prune, sc),
+		front: spec.frontier(bwd), reset: sc.biResetB, minQ: sc.biMinB}
+	if spec.preFrontier != nil {
+		h.fwd.pre, h.bwd.pre = spec.preFrontier(fwd), spec.preFrontier(bwd)
+	}
+	return h, e.resetVisited(ctx, h.qs, sc)
 }
 
 // BeginSuperstep admits a coordinator-driven search on this engine: it
@@ -98,13 +98,17 @@ type Superstep struct {
 func (e *Engine) BeginSuperstep(ctx context.Context, alg Algorithm, budget int64) (*Superstep, error) {
 	e.mu.RLock()
 	nodes := e.nodes
-	segBuilt, segLthd := e.segBuilt, e.segLthd
 	e.mu.RUnlock()
 	if e.optErr != nil {
 		return nil, e.optErr
 	}
 	if nodes == 0 {
 		return nil, ErrNoGraph
+	}
+	switch alg {
+	case AlgBSDJ, AlgBBFS, AlgBSEG:
+	default:
+		return nil, fmt.Errorf("%w: %v", ErrUnsupportedSuperstep, alg)
 	}
 	if !e.db.Profile().SupportsMerge || !e.db.Profile().SupportsWindow {
 		return nil, fmt.Errorf("core: superstep surface needs MERGE and window support in the database profile")
@@ -118,146 +122,111 @@ func (e *Engine) BeginSuperstep(ctx context.Context, alg Algorithm, budget int64
 		e.unlockShared()
 		return nil, err
 	}
-
-	ss := &Superstep{e: e, sc: sc, qs: &QueryStats{budget: budget}}
-	switch alg {
-	case AlgBSDJ:
-		ss.spec = specBSDJ(sc)
-	case AlgBBFS:
-		ss.spec = specBBFS(sc)
-	case AlgBSEG:
-		if !segBuilt {
-			ss.Close()
-			return nil, fmt.Errorf("core: BSEG superstep requires BuildSegTable first")
-		}
-		ss.spec = specBSEG(sc, segLthd)
-	default:
-		ss.Close()
-		return nil, fmt.Errorf("%w: %v", ErrUnsupportedSuperstep, alg)
-	}
-	ss.qs.Algorithm = ss.spec.name
-
-	fwd, bwd := fwdDir(), bwdDir()
-	ss.xpF = e.buildExpand(fwd, ss.spec.edgeFwd, "q.f = 2", 0, ss.spec.prune, sc)
-	ss.xpB = e.buildExpand(bwd, ss.spec.edgeBwd, "q.b = 2", 0, ss.spec.prune, sc)
-	ss.frontF, ss.frontB = ss.spec.frontier(fwd), ss.spec.frontier(bwd)
-	ss.harvest = "SELECT nid, par, cost FROM " + sc.expand
-	ss.distF = "SELECT d2s FROM " + sc.visited + " WHERE nid = ?"
-	ss.distB = "SELECT d2t FROM " + sc.visited + " WHERE nid = ?"
-	ss.inj1 = "INSERT INTO " + sc.expand + " (nid, par, cost) VALUES (?, ?, ?)"
-	ss.injN = "INSERT INTO " + sc.expand + " (nid, par, cost) VALUES (?, ?, ?)" +
-		strings.Repeat(", (?, ?, ?)", injectChunk-1)
-	ss.segCostF = "SELECT cost FROM " + TblOutSegs + " WHERE fid = ? AND tid = ?"
-	ss.segCostB = "SELECT cost FROM " + TblInSegs + " WHERE fid = ? AND tid = ?"
-	ss.fNidsF = "SELECT nid FROM " + sc.visited + " WHERE f = 2"
-	ss.fNidsB = "SELECT nid FROM " + sc.visited + " WHERE b = 2"
-	// MIN(cost) rather than COUNT(*): cost lives only in the base rows, so
-	// the probe must fetch the same heap pages the expansion join will read,
-	// not satisfy itself from an index.
-	ss.probeF = "SELECT MIN(cost) FROM " + ss.spec.edgeFwd + " WHERE fid = ?"
-	ss.probeB = "SELECT MIN(cost) FROM " + ss.spec.edgeBwd + " WHERE tid = ?"
-
-	if err := e.resetVisited(ctx, ss.qs, sc); err != nil {
-		ss.Close()
-		return nil, err
-	}
-	return ss, nil
-}
-
-// Stats exposes the shard-local accounting (statements, tuples, phase
-// durations) accumulated so far; the coordinator sums these into the
-// query's global QueryStats.
-func (ss *Superstep) Stats() *QueryStats { return ss.qs }
-
-// Inject applies routed candidates through the M-operator: the scratch
-// TExpand table is cleared, the batch is inserted (deduplicated by the
-// caller — TExpand's nid is a primary key), and the direction's MERGE
-// relaxes the visited table, re-opening (sign=0) any settled row the batch
-// improves. Seeding works the same way: injecting (s, s, 0) forward into an
-// empty table reproduces the biInit row for s. Returns the number of
-// visited rows the merge touched.
-func (ss *Superstep) Inject(ctx context.Context, forward bool, cands []FrontierCand) (int64, error) {
-	if len(cands) == 0 {
-		return 0, nil
-	}
-	e, qs := ss.e, ss.qs
-	xp := ss.xpB
-	if forward {
-		xp = ss.xpF
-	}
-	if _, err := e.exec(ctx, qs, &qs.PE, &qs.MOp, xp.clearExpand); err != nil {
-		return 0, err
-	}
-	rest := cands
-	for len(rest) >= injectChunk {
-		args := make([]any, 0, 3*injectChunk)
-		for _, c := range rest[:injectChunk] {
-			args = append(args, c.Nid, c.Par, c.Cost)
-		}
-		if _, err := e.exec(ctx, qs, &qs.PE, &qs.MOp, ss.injN, args...); err != nil {
-			return 0, err
-		}
-		rest = rest[injectChunk:]
-	}
-	for _, c := range rest {
-		if _, err := e.exec(ctx, qs, &qs.PE, &qs.MOp, ss.inj1, c.Nid, c.Par, c.Cost); err != nil {
-			return 0, err
-		}
-	}
-	return e.exec(ctx, qs, &qs.PE, &qs.MOp, xp.mMerge, sentinelArgs...)
-}
-
-// SelectFrontier runs the F-operator for one direction, marking sign=2 on
-// the selected candidates and returning the frontier size. k is the
-// direction's 1-based expansion counter (BSEG's k*lthd rule binds it).
-func (ss *Superstep) SelectFrontier(ctx context.Context, forward bool, k int64) (int64, error) {
-	front := ss.frontB
-	if forward {
-		front = ss.frontF
-	}
-	return ss.e.exec(ctx, ss.qs, &ss.qs.PE, &ss.qs.FOp, front.text, front.bind(k)...)
-}
-
-// ExpandHarvest runs the E-operator for the marked frontier, harvests the
-// materialized candidate set (before the local merge consumes it), applies
-// the local M-operator, and un-marks the frontier. lOther and minCost bind
-// the Theorem-1 prune exactly as in the single-engine loop; the coordinator
-// passes global values, which are at least as large as any shard-local view
-// would be, so the prune stays sound. The returned candidates are what this
-// shard learned this superstep — the coordinator routes each to the shard
-// owning its node.
-func (ss *Superstep) ExpandHarvest(ctx context.Context, forward bool, lOther, minCost int64) ([]FrontierCand, error) {
-	e, qs := ss.e, ss.qs
-	xp, reset := ss.xpB, ss.sc.biResetB
-	if forward {
-		xp, reset = ss.xpF, ss.sc.biResetF
-	}
-	bound := minCost
-	if e.opts.DisablePruning || bound >= MaxDist {
-		bound = 4 * MaxDist
-	}
-	if _, err := e.exec(ctx, qs, &qs.PE, &qs.EOp, xp.clearExpand); err != nil {
-		return nil, err
-	}
-	if _, err := e.exec(ctx, qs, &qs.PE, &qs.EOp, xp.insExpand, lOther, bound); err != nil {
-		return nil, err
-	}
-	rows, err := e.queryRows(ctx, qs, &qs.PE, ss.harvest)
+	spec, err := e.femSpecFor(alg, sc, 0, 0)
 	if err != nil {
+		e.scratch.release(sc)
+		e.unlockShared()
 		return nil, err
 	}
-	var cands []FrontierCand
-	if n := rows.Len(); n > 0 {
-		cands = make([]FrontierCand, 0, n)
-		for _, r := range rows.Data {
-			cands = append(cands, FrontierCand{Nid: r[0].I, Par: r[1].I, Cost: r[2].I})
+	h, err := newSuperstep(ctx, e, sc, spec, budget)
+	if err != nil {
+		h.Close()
+		return nil, err
+	}
+	return h, nil
+}
+
+// Close releases the scratch set and the gate admission of a handle from
+// BeginSuperstep. Idempotent.
+func (h *Superstep) Close() {
+	if h.closed {
+		return
+	}
+	h.closed = true
+	h.e.scratch.release(h.sc)
+	h.e.unlockShared()
+}
+
+func (h *Superstep) side(forward bool) *handleDir {
+	if forward {
+		return &h.fwd
+	}
+	return &h.bwd
+}
+
+// readSum reads the best local meeting cost MIN(d2s + d2t).
+func (h *Superstep) readSum(ctx context.Context) error {
+	v, null, err := h.e.queryInt(ctx, h.qs, &h.qs.SC, h.sc.biMinSum)
+	h.sum, h.hasSum = v, !null
+	return err
+}
+
+// readMin reads the direction's minimal candidate distance.
+func (h *Superstep) readMin(ctx context.Context, forward bool) error {
+	d := h.side(forward)
+	v, null, err := h.e.queryInt(ctx, h.qs, &h.qs.SC, d.minQ)
+	if err != nil {
+		return err
+	}
+	d.live = !null
+	if d.live {
+		d.min = v
+	}
+	return nil
+}
+
+// selectFrontier runs the F-operator for one direction, recording the
+// frontier size in count. k is the direction's 1-based expansion counter
+// (BSEG's k*lthd rule binds it). Under ALT, once a path is known
+// (minCost < MaxDist), frontier-minimum candidates the landmark bound
+// proves unable to improve it are settled first, repeating while whole
+// minimum sets fall: each settled row was next in line for an expansion.
+// The repetition is bounded, since every round affects nothing (stop) or
+// shrinks the candidate pool.
+func (h *Superstep) selectFrontier(ctx context.Context, forward bool, k, minCost int64) error {
+	e, qs, d := h.e, h.qs, h.side(forward)
+	h.count, h.pruned = 0, 0
+	if h.spec.preFrontier != nil && minCost < MaxDist {
+		args := d.pre.bind(minCost)
+		for {
+			n, err := e.exec(ctx, qs, &qs.PE, &qs.FOp, d.pre.text, args...)
+			if err != nil {
+				return err
+			}
+			if n == 0 {
+				break
+			}
+			h.pruned += n
 		}
+		qs.PrunedRows += h.pruned
 	}
-	if _, err := e.exec(ctx, qs, &qs.PE, &qs.MOp, xp.mMerge, sentinelArgs...); err != nil {
-		return nil, err
+	var err error
+	h.count, err = e.exec(ctx, qs, &qs.PE, &qs.FOp, d.front.text, d.front.bind(k)...)
+	return err
+}
+
+// expand runs E + M for the selected frontier and un-marks it. lOther and
+// minCost bind the Theorem-1 prune; with several handles they are global
+// values, at least as large as any handle-local view, so the prune stays
+// sound. harvest materializes the E output and keeps it in cands for
+// routing (after warming the frontier's adjacency pages).
+func (h *Superstep) expand(ctx context.Context, forward bool, lOther, minCost int64, harvest bool) error {
+	h.cands = h.cands[:0]
+	if h.count == 0 {
+		return nil
 	}
-	if _, err := e.exec(ctx, qs, &qs.PE, &qs.FOp, reset); err != nil {
-		return nil, err
+	e, qs, d := h.e, h.qs, h.side(forward)
+	var collect func() error
+	if harvest {
+		if h.count > 1 {
+			if err := h.prefetch(ctx, d); err != nil {
+				return err
+			}
+		}
+		collect = func() error { return h.harvest(ctx) }
+	}
+	if _, err := e.runExpand(ctx, qs, d.xp, nil, lOther, minCost, collect); err != nil {
+		return err
 	}
 	if forward {
 		qs.ForwardExpansions++
@@ -265,61 +234,89 @@ func (ss *Superstep) ExpandHarvest(ctx context.Context, forward bool, lOther, mi
 		qs.BackwardExpansions++
 	}
 	qs.Expansions++
-	return cands, nil
+	_, err := e.exec(ctx, qs, &qs.PE, &qs.FOp, d.reset)
+	return err
 }
 
-// PrefetchFrontier warms the buffer pool with the adjacency pages the
-// direction's E-operator is about to scan: the selected frontier (sign=2)
-// is read back from the resident visited table, split round-robin across
-// workers goroutines, and each worker probes the edge (or segment) table
-// for its nids through the engine's concurrent read path. The probes fault
-// in the same index and heap pages the expansion join will touch, but in
-// parallel instead of serially inside one statement — on a cold pool this
-// converts the expansion's page waits from frontier-sized serial chains
-// into overlapped transfers. The expansion itself is unchanged; a warm pool
-// makes this a cheap no-op per nid. This lever exists only on the superstep
-// surface: the coordinator materializes its frontier as data, while the
-// single-engine fused MERGE never surfaces it outside one statement.
-//
-// Prefetch pays for itself when the warmed pages stay resident until the
-// expansion reads them. A frontier whose adjacency rivals the whole buffer
-// pool can displace the visited working set and turn the warm-up into
-// churn — partitioning is what keeps both sides small (each shard sees 1/k
-// of the frontier and 1/k of the visited rows), so the technique composes
-// with sharding rather than substituting for memory.
-func (ss *Superstep) PrefetchFrontier(ctx context.Context, forward bool, workers int) error {
-	if workers <= 1 {
-		return nil
-	}
-	e, qs := ss.e, ss.qs
-	nidQ, probeQ := ss.fNidsB, ss.probeB
-	if forward {
-		nidQ, probeQ = ss.fNidsF, ss.probeF
-	}
-	rows, err := e.queryRows(ctx, qs, &qs.EOp, nidQ)
+// harvest reads the materialized E output back into cands.
+func (h *Superstep) harvest(ctx context.Context) error {
+	rows, err := h.e.queryRows(ctx, h.qs, &h.qs.PE, h.sc.harvest)
 	if err != nil {
 		return err
 	}
-	if rows.Len() <= 1 {
-		return nil
+	for _, r := range rows.Data {
+		h.cands = append(h.cands, frontierCand{r[0].I, r[1].I, r[2].I})
+	}
+	return nil
+}
+
+// inject applies routed candidates through the M-operator: the scratch
+// TExpand table is cleared, the batch (one row per nid) is inserted, and
+// the direction's MERGE relaxes the visited table, reopening (sign=0) any
+// settled row the batch improves.
+func (h *Superstep) inject(ctx context.Context, forward bool, cands []frontierCand) error {
+	e, qs, xp := h.e, h.qs, h.side(forward).xp
+	if _, err := e.exec(ctx, qs, &qs.PE, &qs.MOp, xp.clearExpand); err != nil {
+		return err
+	}
+	rest := cands
+	for len(rest) >= injectChunk {
+		args := make([]any, 0, 3*injectChunk)
+		for _, c := range rest[:injectChunk] {
+			args = append(args, c.nid, c.par, c.cost)
+		}
+		if _, err := e.exec(ctx, qs, &qs.PE, &qs.MOp, h.sc.injN, args...); err != nil {
+			return err
+		}
+		rest = rest[injectChunk:]
+	}
+	for _, c := range rest {
+		if _, err := e.exec(ctx, qs, &qs.PE, &qs.MOp, h.sc.inj1, c.nid, c.par, c.cost); err != nil {
+			return err
+		}
+	}
+	_, err := e.exec(ctx, qs, &qs.PE, &qs.MOp, xp.mMerge, sentinelArgs...)
+	return err
+}
+
+// prefetch warms the buffer pool with the adjacency pages the direction's
+// E-operator is about to scan: the selected frontier (sign=2) is read back
+// from the visited table, split round-robin across prefetchWorkers
+// goroutines, and each probes the edge (or segment) table for its nids
+// through the engine's concurrent read path. The probes fault in the same
+// index and heap pages the expansion join will touch — MIN(cost) rather
+// than COUNT(*), because cost lives only in the base rows — but in
+// parallel instead of serially inside one statement; on a cold pool this
+// turns the expansion's page waits into overlapped transfers, and a warm
+// pool makes it a cheap no-op per nid. Only multi-handle runs prefetch:
+// their materialized frontier is data, while the single engine's fused
+// MERGE never surfaces it outside one statement.
+//
+// Prefetch pays for itself when the warmed pages stay resident until the
+// expansion reads them. Partitioning is what keeps both sides small (each
+// shard sees 1/k of the frontier and of the visited rows), so it composes
+// with sharding rather than substituting for memory.
+func (h *Superstep) prefetch(ctx context.Context, d *handleDir) error {
+	e, qs := h.e, h.qs
+	rows, err := e.queryRows(ctx, qs, &qs.EOp, "SELECT nid FROM "+h.sc.visited+" WHERE "+d.d.sign+" = 2")
+	if err != nil {
+		return err
 	}
 	nids := make([]int64, 0, rows.Len())
 	for _, r := range rows.Data {
 		nids = append(nids, r[0].I)
 	}
-	st, err := e.stmt(probeQ)
+	st, err := e.stmt("SELECT MIN(cost) FROM " + d.edges + " WHERE " + d.d.joinCol + " = ?")
 	if err != nil {
 		return err
 	}
-	if workers > len(nids) {
-		workers = len(nids)
-	}
+	workers := min(prefetchWorkers, len(nids))
 	t0 := time.Now()
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := w; i < len(nids); i += workers {
 				if _, _, err := st.QueryIntContext(ctx, nids[i]); err != nil {
@@ -327,125 +324,60 @@ func (ss *Superstep) PrefetchFrontier(ctx context.Context, forward bool, workers
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	dt := time.Since(t0)
 	qs.Statements += len(nids)
 	qs.PE += dt
 	qs.EOp += dt
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return errors.Join(errs...)
 }
 
-// Mins is the statistics-collection round (Listing 4(4,5)): the best local
-// d2s+d2t sum and the per-direction candidate minima. The coordinator folds
-// these across shards into the global minCost / lf / lb the stopping
-// condition reads.
-func (ss *Superstep) Mins(ctx context.Context) (SuperstepMins, error) {
-	e, qs, sc := ss.e, ss.qs, ss.sc
-	var m SuperstepMins
-	var null bool
-	var err error
-	if m.Sum, null, err = e.queryInt(ctx, qs, &qs.SC, sc.biMinSum); err != nil {
-		return m, err
-	}
-	m.HasSum = !null
-	if m.MinF, null, err = e.queryInt(ctx, qs, &qs.SC, sc.biMinF); err != nil {
-		return m, err
-	}
-	m.HasMinF = !null
-	if m.MinB, null, err = e.queryInt(ctx, qs, &qs.SC, sc.biMinB); err != nil {
-		return m, err
-	}
-	m.HasMinB = !null
-	return m, nil
+// parent and dist read a node's parent link and tentative distance on this
+// handle (the path walk's lookups).
+func (h *Superstep) parent(ctx context.Context, forward bool, nid int64) (int64, bool, error) {
+	return h.e.readParent(ctx, h.qs, h.sc, forward, nid)
 }
 
-// MeetNode looks for a node whose d2s+d2t equals cost (Listing 4(6)).
-func (ss *Superstep) MeetNode(ctx context.Context, cost int64) (int64, bool, error) {
-	v, null, err := ss.e.queryInt(ctx, ss.qs, &ss.qs.FPR, ss.sc.meet, cost)
-	return v, !null && err == nil, err
-}
-
-// Parent returns a node's recorded parent link for one direction, with
-// ok=false when the node has no row or an unset link.
-func (ss *Superstep) Parent(ctx context.Context, forward bool, nid int64) (int64, bool, error) {
-	q := ss.sc.recP2T
+func (h *Superstep) dist(ctx context.Context, forward bool, nid int64) (int64, bool, error) {
+	q := h.sc.recD2T
 	if forward {
-		q = ss.sc.recP2S
+		q = h.sc.recD2S
 	}
-	p, null, err := ss.e.queryInt(ctx, ss.qs, &ss.qs.FPR, q, nid)
-	if err != nil {
-		return 0, false, err
-	}
-	return p, !null && p != NoParent, nil
+	v, null, err := h.e.queryInt(ctx, h.qs, &h.qs.FPR, q, nid)
+	return v, err == nil && !null, err
 }
 
-// Dist returns a node's tentative distance for one direction, with
-// ok=false when the node has no visited row.
-func (ss *Superstep) Dist(ctx context.Context, forward bool, nid int64) (int64, bool, error) {
-	q := ss.distB
-	if forward {
-		q = ss.distF
-	}
-	d, null, err := ss.e.queryInt(ctx, ss.qs, &ss.qs.FPR, q, nid)
-	if err != nil {
-		return 0, false, err
-	}
-	return d, !null, nil
+// segCost probes this handle's segment table for the segment behind hop
+// p -> cur and returns its cost.
+func (h *Superstep) segCost(ctx context.Context, forward bool, p, cur int64) (int64, bool, error) {
+	q, fid, tid := segQuery("cost", forward, p, cur)
+	c, null, err := h.e.queryInt(ctx, h.qs, &h.qs.FPR, q, fid, tid)
+	return c, err == nil && !null, err
 }
 
-// SegCost probes this shard's segment table for a recorded u->v segment
-// (TOutSegs forward, TInSegs backward) and returns its cost. During
-// cross-shard path recovery the coordinator uses it to find a shard whose
-// recorded segment achieves the exact distance difference before unfolding
-// there.
-func (ss *Superstep) SegCost(ctx context.Context, forward bool, u, v int64) (int64, bool, error) {
-	q := ss.segCostB
-	if forward {
-		q = ss.segCostF
-	}
-	c, null, err := ss.e.queryInt(ctx, ss.qs, &ss.qs.FPR, q, u, v)
-	if err != nil {
-		return 0, false, err
-	}
-	return c, !null, nil
-}
-
-// UnfoldSegment expands a recorded segment's interior through the pid
-// chains: forward returns the interior of the TOutSegs segment u->v in
-// reverse order (closest-to-v first), backward the TInSegs interior in path
-// order — the same contracts recoverForward/recoverBackward consume.
-func (ss *Superstep) UnfoldSegment(ctx context.Context, forward bool, u, v int64) ([]int64, error) {
-	if forward {
-		return ss.e.unfoldOutSegment(ctx, ss.qs, u, v)
-	}
-	return ss.e.unfoldInSegment(ctx, ss.qs, u, v)
-}
-
-// VisitedRows reports the search-space metric |TVisited| for this shard.
-func (ss *Superstep) VisitedRows(ctx context.Context) (int, error) {
-	return ss.e.visitedCount(ctx, ss.qs, ss.sc)
-}
-
-// Close releases the scratch set and the gate admission. Idempotent.
-func (ss *Superstep) Close() {
-	if ss.closed {
-		return
-	}
-	ss.closed = true
-	ss.e.scratch.release(ss.sc)
-	ss.e.unlockShared()
+// add folds another handle's accounting into q. Phase durations sum
+// handle wall clocks, so with handles working in parallel the phase total
+// can exceed Total: they read as aggregate work, like CPU time.
+func (q *QueryStats) add(o *QueryStats) {
+	q.Statements += o.Statements
+	q.TuplesAffected += o.TuplesAffected
+	q.Expansions += o.Expansions
+	q.ForwardExpansions += o.ForwardExpansions
+	q.BackwardExpansions += o.BackwardExpansions
+	q.PrunedRows += o.PrunedRows
+	q.PE += o.PE
+	q.SC += o.SC
+	q.FPR += o.FPR
+	q.FOp += o.FOp
+	q.EOp += o.EOp
+	q.MOp += o.MOp
 }
 
 // queryRows runs a row-returning query through the prepared-statement cache
 // with the usual budget/cancellation/accounting treatment (exec and
-// queryInt cover the scalar cases; the superstep harvest needs whole rows).
+// queryInt cover the scalar cases; the harvest needs whole rows).
 func (e *Engine) queryRows(ctx context.Context, qs *QueryStats, phase *time.Duration, q string, args ...any) (*rdb.Rows, error) {
 	if err := e.checkBudget(ctx, qs); err != nil {
 		return nil, err
@@ -464,4 +396,9 @@ func (e *Engine) queryRows(ctx context.Context, qs *QueryStats, phase *time.Dura
 		*phase += dt
 	}
 	return rows, err
+}
+
+// injectValues renders the TExpand insert for n candidate rows.
+func injectValues(expand string, n int) string {
+	return "INSERT INTO " + expand + " (nid, par, cost) VALUES (?, ?, ?)" + strings.Repeat(", (?, ?, ?)", n-1)
 }

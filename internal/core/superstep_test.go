@@ -45,96 +45,34 @@ func TestSuperstepUnsupportedAlg(t *testing.T) {
 	}
 }
 
-// TestSuperstepSeedMatchesQuery drives one full coordinator-style search on
-// a single engine through the superstep surface — seed injection, frontier
-// select, expand+harvest with self-routing, stats collection, stop
-// condition — and checks it reproduces Engine.Query exactly. This is the
-// k=1 degenerate case of the shard coordinator, pinned here so the core
-// surface stays sufficient on its own.
-func TestSuperstepSeedMatchesQuery(t *testing.T) {
-	e := newLineEngine(t, 24)
+// TestChainWalkMissingLookups: the path walk reports a lookup that finds
+// nothing (ok=false with a nil error) as a plain error naming the node —
+// for a parent link and for the distances the cross-handle segment unfold
+// reads.
+func TestChainWalkMissingLookups(t *testing.T) {
 	ctx := context.Background()
+	parents := map[int64]int64{5: 3, 3: 0}
+	parent := func(_ context.Context, _ bool, nid int64) (int64, bool, error) {
+		p, ok := parents[nid]
+		return p, ok, nil
+	}
+	missing := func(context.Context, bool, int64) (int64, bool, error) { return 0, false, nil }
 
-	want, err := e.Query(ctx, QueryRequest{Source: 2, Target: 19, Alg: AlgBSDJ})
-	if err != nil {
-		t.Fatal(err)
+	w := chainWalk{parent: parent, guard: 10}
+	got, err := w.walk(ctx, 5, 0, true)
+	if err != nil || len(got) != 3 || got[0] != 5 || got[1] != 3 || got[2] != 0 {
+		t.Fatalf("walk 5->0 = %v, %v; want [5 3 0]", got, err)
+	}
+	if _, err := w.walk(ctx, 5, 9, true); err == nil || err.Error() != "core: broken parent chain at node 0" {
+		t.Fatalf("walk past the chain's end: err = %v", err)
 	}
 
-	ss, err := e.BeginSuperstep(ctx, AlgBSDJ, 0)
-	if err != nil {
-		t.Fatal(err)
+	w.unfold = func(ctx context.Context, forward bool, p, cur int64) ([]int64, error) {
+		return segmentAcross(ctx, nil, missing, forward, p, cur)
 	}
-	defer ss.Close()
-	if _, err := ss.Inject(ctx, true, []FrontierCand{{Nid: 2, Par: 2, Cost: 0}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ss.Inject(ctx, false, []FrontierCand{{Nid: 19, Par: 19, Cost: 0}}); err != nil {
-		t.Fatal(err)
-	}
-	var lf, lb int64
-	nf, nb := int64(1), int64(1)
-	candF, candB := true, true
-	var kf, kb int64
-	minCost := int64(4 * MaxDist)
-	for iter := 0; ; iter++ {
-		if iter > 1000 {
-			t.Fatal("superstep loop did not terminate")
-		}
-		m, err := ss.Mins(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.HasSum && m.Sum < minCost {
-			minCost = m.Sum
-		}
-		candF, candB = m.HasMinF, m.HasMinB
-		if candF {
-			lf = m.MinF
-		}
-		if candB {
-			lb = m.MinB
-		}
-		if StopCondition(lf, lb, minCost) {
-			break
-		}
-		if !candF && !candB {
-			break
-		}
-		forward := candF && (!candB || nf <= nb)
-		var k int64
-		if forward {
-			kf++
-			k = kf
-		} else {
-			kb++
-			k = kb
-		}
-		cnt, err := ss.SelectFrontier(ctx, forward, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lOther := lb
-		if !forward {
-			lOther = lf
-		}
-		if _, err := ss.ExpandHarvest(ctx, forward, lOther, minCost); err != nil {
-			t.Fatal(err)
-		}
-		if forward {
-			nf = cnt
-		} else {
-			nb = cnt
-		}
-	}
-	if minCost != want.Distance {
-		t.Fatalf("superstep distance %d, want %d", minCost, want.Distance)
-	}
-	meet, ok, err := ss.MeetNode(ctx, minCost)
-	if err != nil || !ok {
-		t.Fatalf("MeetNode: ok=%v err=%v", ok, err)
-	}
-	if d, ok, err := ss.Dist(ctx, true, meet); err != nil || !ok || d > minCost {
-		t.Fatalf("meet d2s = %d (ok=%v err=%v), want <= %d", d, ok, err, minCost)
+	_, err = w.walk(ctx, 5, 0, true)
+	if err == nil || err.Error() != "core: no distance for node 5" {
+		t.Fatalf("walk with a missing distance: err = %v, want \"core: no distance for node 5\"", err)
 	}
 }
 

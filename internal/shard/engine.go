@@ -30,24 +30,6 @@ type Options struct {
 	BufferPoolPages int
 	// SimulatedIOLatency is forwarded to every shard database.
 	SimulatedIOLatency time.Duration
-	// MaxIters caps each shard's superstep participation (0 = default).
-	MaxIters int
-	// PrefetchWorkers is the per-shard concurrency used to warm the
-	// adjacency pages of each superstep's selected frontier before the
-	// expansion statement scans them serially (0 = default of 8,
-	// negative = disabled). See core.Superstep.PrefetchFrontier.
-	PrefetchWorkers int
-}
-
-// defaultPrefetchWorkers resolves Options.PrefetchWorkers.
-func (o Options) prefetchWorkers() int {
-	if o.PrefetchWorkers < 0 {
-		return 0
-	}
-	if o.PrefetchWorkers == 0 {
-		return 8
-	}
-	return o.PrefetchWorkers
 }
 
 // ShardedEngine owns k core.Engine instances, each loaded with its
@@ -118,7 +100,6 @@ func Open(g *graph.Graph, opts Options) (*ShardedEngine, error) {
 		}
 		eng := core.NewEngine(db, core.Options{
 			CacheSize: -1, // answers are cached (if at all) above the shards
-			MaxIters:  opts.MaxIters,
 		})
 		sub, err := graph.New(g.N, split.Edges[i])
 		if err != nil {

@@ -133,6 +133,9 @@ func TestShardedDifferential(t *testing.T) {
 		// Sketch on: the portal bound may answer some pairs outright; the
 		// answers must stay exact.
 		{"AUTO/k4/hash/sketch", core.AlgAuto, Options{Shards: 4, Lthd: lthd, Portals: 12}, 24},
+		// One shard is the single engine run through the coordinator.
+		{"BSDJ/k1", core.AlgBSDJ, Options{Shards: 1}, 20},
+		{"BSEG/k1", core.AlgBSEG, Options{Shards: 1, Lthd: lthd}, 20},
 	}
 	total := 0
 	for _, tc := range cases {
@@ -152,6 +155,76 @@ func TestShardedDifferential(t *testing.T) {
 	}
 	if total < 200 {
 		t.Fatalf("differential covered %d pairs, want >= 200", total)
+	}
+}
+
+// TestOneShardStatementsMatchEngine: a 1-shard coordinator is the single
+// engine — the same FEM loop over one handle — so it must issue exactly
+// the statements Engine.Query issues for the same algorithm and pair.
+func TestOneShardStatementsMatchEngine(t *testing.T) {
+	const lthd = 8
+	g := islandsGraph(t, 100)
+	ref := refEngine(t, g, lthd)
+	se, err := Open(g, Options{Shards: 1, Lthd: lthd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+	ctx := context.Background()
+	pairs := mixedPairs(rand.New(rand.NewSource(11)), g.N, 30)
+	for _, alg := range []core.Algorithm{core.AlgBSDJ, core.AlgBBFS, core.AlgBSEG} {
+		for _, pr := range pairs {
+			req := core.QueryRequest{Source: pr[0], Target: pr[1], Alg: alg}
+			want, err := ref.Query(ctx, req)
+			if err != nil {
+				t.Fatalf("%v ref (%d,%d): %v", alg, pr[0], pr[1], err)
+			}
+			got, err := se.Query(ctx, req)
+			if err != nil {
+				t.Fatalf("%v sharded (%d,%d): %v", alg, pr[0], pr[1], err)
+			}
+			if got.Distance != want.Distance || got.Stats.Statements != want.Stats.Statements {
+				t.Fatalf("%v (%d,%d): 1-shard distance %d in %d statements, engine %d in %d",
+					alg, pr[0], pr[1], got.Distance, got.Stats.Statements, want.Distance, want.Stats.Statements)
+			}
+		}
+	}
+}
+
+// TestRangeShardOwningComponent: under range partitioning each island of
+// islandsGraph is one shard with no cut edges, so a query inside island 1
+// runs entirely in shard 1 while shard 0 never has a candidate. The
+// coordinator's loop must then make exactly the single engine's choices,
+// and the visited rows it reports must be shard 1's, not another shard's.
+func TestRangeShardOwningComponent(t *testing.T) {
+	const lthd = 8
+	g := islandsGraph(t, 100)
+	ref := refEngine(t, g, lthd)
+	se, err := Open(g, Options{Shards: 2, Strategy: Range, Lthd: lthd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+	ctx := context.Background()
+	for _, alg := range []core.Algorithm{core.AlgBSDJ, core.AlgBSEG} {
+		for _, pr := range [][2]int64{{101, 187}, {150, 120}, {199, 100}} {
+			req := core.QueryRequest{Source: pr[0], Target: pr[1], Alg: alg}
+			want, err := ref.Query(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := se.Query(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, h := want.Stats, got.Stats
+			if got.Distance != want.Distance || h.Iterations != w.Iterations ||
+				h.Expansions != w.Expansions || h.VisitedRows != w.VisitedRows {
+				t.Fatalf("%v (%d,%d): sharded dist=%d iters=%d exps=%d visited=%d, engine dist=%d iters=%d exps=%d visited=%d",
+					alg, pr[0], pr[1], got.Distance, h.Iterations, h.Expansions, h.VisitedRows,
+					want.Distance, w.Iterations, w.Expansions, w.VisitedRows)
+			}
+		}
 	}
 }
 
